@@ -10,7 +10,7 @@ types.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from decimal import Decimal, InvalidOperation
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -344,6 +344,43 @@ def differentiate(
     return d.bit(bm.token(px, t), bm.token(py, t))
 
 
+# --- packed difference bits ---------------------------------------------------
+#
+# The one encoding of difference bits is a mask: an int whose bit i is the
+# bit of tests[i].  Each bit comes from one ``differentiate`` call, never from
+# other bits, because numeric tolerance is not transitive.
+
+
+def diff_mask(
+    d: Differentiator,
+    tv: Iterable[str],
+    px: str,
+    py: str,
+    bm: BehaviorMatrix,
+) -> int:
+    """Difference bits between ``px`` and ``py``; bit i is test ``tv[i]``."""
+    mask = 0
+    for i, t in enumerate(tv):
+        if differentiate(d, t, px, py, bm):
+            mask |= 1 << i
+    return mask
+
+
+def pack_bits(bits: Iterable[int]) -> int:
+    """Mask of a tuple view: bit i is set iff ``bits[i]`` is."""
+    return sum(1 << i for i, b in enumerate(bits) if b)
+
+
+def unpack_bits(mask: int, n: int) -> tuple[int, ...]:
+    """Tuple view of a mask over ``n`` tests."""
+    return tuple(mask >> i & 1 for i in range(n))
+
+
+def select(mask: int, items: Iterable) -> tuple:
+    """The items whose bits are set in ``mask``, in order."""
+    return tuple(x for i, x in enumerate(items) if mask >> i & 1)
+
+
 def diff_vector(
     d: Differentiator,
     tv: Union[TestVector, Iterable[str]],
@@ -353,14 +390,12 @@ def diff_vector(
 ) -> DiffVector:
     """Difference bits between ``px`` and ``py`` over the tests in ``tv``."""
     tv = TestVector.of(tv)
-    bits = tuple(differentiate(d, t, px, py, bm) for t in tv)
+    bits = unpack_bits(diff_mask(d, tv, px, py, bm), len(tv))
     return DiffVector(bits, tv, px, py, d.id)
 
 
 def manhattan_norm(v: Union[DiffVector, Iterable[int]]) -> int:
     """Sum of bits; equals the Hamming distance between the two behavior rows."""
-    if isinstance(v, DiffVector):
-        return v.norm()
     return sum(v)
 
 
@@ -384,6 +419,23 @@ class AdequacyResult:
     killers: Mapping[str, str] = field(default_factory=dict)
 
 
+def adequacy_from_masks(
+    tests: Sequence[str], columns: Iterable[tuple[str, int]]
+) -> AdequacyResult:
+    """Adequacy over (mutant, kill mask) pairs: every mask is nonzero.
+
+    The earliest killing test of a mutant is its mask's lowest set bit.
+    """
+    live = []
+    killers: dict[str, str] = {}
+    for m, mask in columns:
+        if mask:
+            killers[m] = tests[(mask & -mask).bit_length() - 1]
+        else:
+            live.append(m)
+    return AdequacyResult(adequate=not live, live=tuple(live), killers=killers)
+
+
 def mutation_adequacy(
     d: Differentiator,
     tv: Union[TestVector, Iterable[str]],
@@ -397,16 +449,7 @@ def mutation_adequacy(
     order) that kills it.  An empty mutant list is vacuously adequate.
     """
     tv = TestVector.of(tv)
-    live = []
-    killers: dict[str, str] = {}
-    for m in mutants:
-        for t in tv:
-            if differentiate(d, t, po, m, bm):
-                killers[m] = t
-                break
-        else:
-            live.append(m)
-    return AdequacyResult(adequate=not live, live=tuple(live), killers=killers)
+    return adequacy_from_masks(tv, ((m, diff_mask(d, tv, po, m, bm)) for m in mutants))
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -427,14 +470,9 @@ def _token_to_obj(tok: BehaviorToken) -> dict:
 
 
 def matrix_to_json_obj(bm: BehaviorMatrix) -> dict:
-    programs = []
-    for p in bm.programs:
-        entry: dict = {"id": p.id}
-        if p.role is not None:
-            entry["role"] = p.role
-        if p.origin is not None:
-            entry["origin"] = p.origin
-        programs.append(entry)
+    programs = [
+        {k: v for k, v in asdict(p).items() if v is not None} for p in bm.programs
+    ]
     cells = {
         p.id: {t: _token_to_obj(bm.token(p.id, t)) for t in bm.tests}
         for p in bm.programs

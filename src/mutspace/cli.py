@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
 
@@ -48,31 +48,29 @@ BUDGET_ENV = "MUTSPACE_BUDGET"
 POLICY_CHOICES = click.Choice(["exact", "output", "trace", "numeric"])
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated run settings; unknown policy names never get past here."""
-
-    policy: str
-    epsilon: Optional[float]
-    tracing: bool
-    budget: int
-
-    def differentiator(self) -> Differentiator:
-        if self.policy == "numeric":
-            if self.epsilon is None:
-                raise click.UsageError("--policy numeric requires --epsilon")
-            return Differentiator.numeric(self.epsilon)
-        return Differentiator(self.policy)
+def _differentiator(policy: str, epsilon: Optional[float]) -> Differentiator:
+    """The differentiator for a policy option; unknown names never get past click."""
+    if policy == "numeric":
+        if epsilon is None:
+            raise click.UsageError("--policy numeric requires --epsilon")
+        return Differentiator.numeric(epsilon)
+    return Differentiator(policy)
 
 
-def _default_budget() -> int:
-    raw = os.environ.get(BUDGET_ENV)
-    if raw is None:
-        return lang.DEFAULT_BUDGET
-    try:
-        return int(raw)
-    except ValueError:
-        raise click.UsageError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
+def _budget(budget: Optional[int]) -> int:
+    """--budget, else $MUTSPACE_BUDGET, else the interpreter default.  A
+    budget that is not positive would time out every cell: an input error."""
+    if budget is None:
+        raw = os.environ.get(BUDGET_ENV, str(lang.DEFAULT_BUDGET))
+        try:
+            budget = int(raw)
+        except ValueError:
+            raise click.UsageError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
+    if budget <= 0:
+        raise click.UsageError(
+            f"the step budget (--budget or {BUDGET_ENV}) must be positive, got {budget}"
+        )
+    return budget
 
 
 def _die(code: int, message: str) -> None:
@@ -87,18 +85,23 @@ def _read_text(path: str) -> str:
         _die(EXIT_INPUT, f"cannot read {path}: {exc}")
 
 
-def _parse_program(path: str) -> lang.Program:
+def _load(path: str, parse, error=ValueError):
+    """``parse`` applied to the file's text; its ``error`` is an input error."""
     try:
-        return lang.parse(_read_text(path))
-    except ParseError as exc:
+        return parse(_read_text(path))
+    except error as exc:
         _die(EXIT_INPUT, f"{path}: {exc}")
 
 
-def _load_tests(path: str) -> list[lang.TestCase]:
+def _load_json(path: str):
     try:
-        raw = json.loads(_read_text(path))
+        return json.loads(_read_text(path))
     except json.JSONDecodeError as exc:
         _die(EXIT_INPUT, f"{path}: invalid JSON: {exc.msg}")
+
+
+def _load_tests(path: str) -> list[lang.TestCase]:
+    raw = _load_json(path)
     if not isinstance(raw, list):
         _die(EXIT_INPUT, f"{path}: test suite must be a JSON list")
     tests = []
@@ -115,27 +118,36 @@ def _load_tests(path: str) -> list[lang.TestCase]:
 
 
 def _load_expected(path: str) -> dict[str, str]:
-    try:
-        raw = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        _die(EXIT_INPUT, f"{path}: invalid JSON: {exc.msg}")
+    raw = _load_json(path)
     if not isinstance(raw, dict) or not all(isinstance(v, str) for v in raw.values()):
         _die(EXIT_INPUT, f"{path}: expected-output file must map test ids to strings")
     return dict(raw)
 
 
-def _load_matrix(path: str):
+def _mutants(program: lang.Program, operators: str):
+    """Every mutant of ``program`` under a comma-separated operator list."""
+    ops = tuple(op.strip() for op in operators.split(",") if op.strip())
     try:
-        return matrix_from_json_text(_read_text(path))
-    except SchemaError as exc:
-        _die(EXIT_INPUT, f"{path}: {exc}")
-
-
-def _load_kills(path: str) -> KillMatrix:
-    try:
-        return KillMatrix.from_csv(_read_text(path))
+        return lang.mutate_all(program, ops)
     except ValueError as exc:
-        _die(EXIT_INPUT, f"{path}: {exc}")
+        _die(EXIT_INPUT, str(exc))
+
+
+def _execute(program_path, tests_path, expected_path, operators, tracing, budget):
+    """Mutate the program and run it and every mutant on the tests; the
+    behavior matrix carries a spec row when expected outputs are given."""
+    budget = _budget(budget)
+    program = _load(program_path, lang.parse, ParseError)
+    tests = _load_tests(tests_path)
+    expected = _load_expected(expected_path) if expected_path else None
+    mutants = _mutants(program, operators)
+    try:
+        matrix = lang.behavior_matrix(
+            program, mutants, tests, tracing=tracing, budget=budget, expected=expected
+        )
+    except ValueError as exc:
+        _die(EXIT_INPUT, str(exc))
+    return mutants, matrix
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -145,8 +157,8 @@ def _emit(text: str, out: Optional[str]) -> None:
         Path(out).write_text(text, encoding="utf-8")
 
 
-def _json_text(obj) -> str:
-    return json.dumps(obj, indent=2) + "\n"
+def _print_json(obj) -> None:
+    click.echo(json.dumps(obj, indent=2) + "\n", nl=False)
 
 
 @click.group()
@@ -171,12 +183,7 @@ def main():
 )
 def mutate(source, operators, out_dir):
     """List every applicable single-site mutant of SOURCE."""
-    ops = tuple(op.strip() for op in operators.split(",") if op.strip())
-    program = _parse_program(source)
-    try:
-        mutants = lang.mutate_all(program, ops)
-    except ValueError as exc:
-        _die(EXIT_INPUT, str(exc))
+    mutants = _mutants(_load(source, lang.parse, ParseError), operators)
     if out_dir is not None:
         directory = Path(out_dir)
         directory.mkdir(parents=True, exist_ok=True)
@@ -184,18 +191,8 @@ def mutate(source, operators, out_dir):
             (directory / f"{desc.id}.src").write_text(
                 lang.render(mutant), encoding="utf-8"
             )
-    listing = [
-        {
-            "id": desc.id,
-            "operator": desc.operator,
-            "statement": desc.statement,
-            "site": desc.site,
-            "original": desc.original,
-            "replacement": desc.replacement,
-        }
-        for desc, _ in mutants
-    ]
-    click.echo(_json_text(listing), nl=False)
+    listing = [asdict(desc) for desc, _ in mutants]
+    _print_json(listing)
 
 
 @main.command()
@@ -208,22 +205,7 @@ def mutate(source, operators, out_dir):
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
 def run(program_path, tests_path, expected_path, operators, tracing, budget, out):
     """Mutate a program, execute everything, and emit a behavior matrix."""
-    ops = tuple(op.strip() for op in operators.split(",") if op.strip())
-    program = _parse_program(program_path)
-    tests = _load_tests(tests_path)
-    expected = _load_expected(expected_path) if expected_path else None
-    try:
-        mutants = lang.mutate_all(program, ops)
-        matrix = lang.behavior_matrix(
-            program,
-            mutants,
-            tests,
-            tracing=tracing,
-            budget=budget if budget is not None else _default_budget(),
-            expected=expected,
-        )
-    except ValueError as exc:
-        _die(EXIT_INPUT, str(exc))
+    _, matrix = _execute(program_path, tests_path, expected_path, operators, tracing, budget)
     _emit(matrix_to_json_text(matrix), out)
 
 
@@ -236,17 +218,14 @@ def analyze():
 @click.argument("kills", type=click.Path(exists=True, dir_okay=False))
 def adequacy(kills):
     """Is every mutant of the kill matrix killed by some test?"""
-    km = _load_kills(kills)
+    km = _load(kills, KillMatrix.from_csv)
     result = adequacy_from_kills(km)
-    click.echo(
-        _json_text(
-            {
-                "adequate": result.adequate,
-                "live": list(result.live),
-                "killers": dict(result.killers),
-            }
-        ),
-        nl=False,
+    _print_json(
+        {
+            "adequate": result.adequate,
+            "live": list(result.live),
+            "killers": dict(result.killers),
+        }
     )
 
 
@@ -254,17 +233,14 @@ def adequacy(kills):
 @click.argument("kills", type=click.Path(exists=True, dir_okay=False))
 def minimize(kills):
     """Minimal mutant set of a kill matrix."""
-    km = _load_kills(kills)
+    km = _load(kills, KillMatrix.from_csv)
     result = minimal_mutant_set(km)
-    click.echo(
-        _json_text(
-            {
-                "minimal": list(result.minimal),
-                "live": list(result.live),
-                "reduction_ratio": round(result.reduction_ratio, 6),
-            }
-        ),
-        nl=False,
+    _print_json(
+        {
+            "minimal": list(result.minimal),
+            "live": list(result.live),
+            "reduction_ratio": round(result.reduction_ratio, 6),
+        }
     )
 
 
@@ -273,7 +249,7 @@ def minimize(kills):
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
 def dmsg(kills, out):
     """Dynamic mutant subsumption graph of a kill matrix, as DOT."""
-    km = _load_kills(kills)
+    km = _load(kills, KillMatrix.from_csv)
     _emit(dmsg_to_dot(build_dmsg(km)), out)
 
 
@@ -300,17 +276,13 @@ def pdl(dimension, as_dot, out):
 @click.option("--epsilon", type=float, default=None)
 def dvector(matrix, left, right, policy, epsilon):
     """Difference vector between two programs of a behavior matrix."""
-    config = RunConfig(policy, epsilon, False, 0)
-    d = config.differentiator()
-    bm = _load_matrix(matrix)
+    d = _differentiator(policy, epsilon)
+    bm = _load(matrix, matrix_from_json_text, SchemaError)
     try:
         v = diff_vector(d, bm.tests, left, right, bm)
     except UnknownIdError as exc:
         _die(EXIT_INPUT, str(exc))
-    click.echo(
-        _json_text({"tests": list(v.tests), "bits": list(v.bits), "norm": v.norm()}),
-        nl=False,
-    )
+    _print_json({"tests": list(v.tests), "bits": list(v.bits), "norm": v.norm()})
 
 
 @main.command()
@@ -334,46 +306,28 @@ def mbfl(matrix_path, statements_path, program_path, tests_path, expected_path,
     Either --matrix (optionally with --statements), or --program with
     --tests and --expected to generate the matrix first.
     """
-    config = RunConfig(policy, epsilon, False, 0)
-    d = config.differentiator()
+    d = _differentiator(policy, epsilon)
     statements: dict[str, object] = {}
     if matrix_path is not None:
-        bm = _load_matrix(matrix_path)
+        bm = _load(matrix_path, matrix_from_json_text, SchemaError)
         if statements_path is not None:
-            try:
-                raw = json.loads(_read_text(statements_path))
-            except json.JSONDecodeError as exc:
-                _die(EXIT_INPUT, f"{statements_path}: invalid JSON: {exc.msg}")
+            raw = _load_json(statements_path)
             if not isinstance(raw, dict):
                 _die(EXIT_INPUT, f"{statements_path}: must map mutant ids to statements")
             statements = dict(raw)
-        mutant_ids = bm.mutant_ids()
     elif program_path is not None:
         if tests_path is None or expected_path is None:
             raise click.UsageError("--program mode requires --tests and --expected")
-        ops = tuple(op.strip() for op in operators.split(",") if op.strip())
-        program = _parse_program(program_path)
-        tests = _load_tests(tests_path)
-        expected = _load_expected(expected_path)
-        try:
-            mutants = lang.mutate_all(program, ops)
-            bm = lang.behavior_matrix(
-                program,
-                mutants,
-                tests,
-                budget=budget if budget is not None else _default_budget(),
-                expected=expected,
-            )
-        except ValueError as exc:
-            _die(EXIT_INPUT, str(exc))
+        mutants, bm = _execute(
+            program_path, tests_path, expected_path, operators, False, budget
+        )
         statements = {desc.id: desc.statement for desc, _ in mutants}
-        mutant_ids = tuple(desc.id for desc, _ in mutants)
     else:
         raise click.UsageError("pass either --matrix or --program")
     try:
         inp = FaultLocalizationInput(
             matrix=bm,
-            mutants=tuple((m, statements.get(m)) for m in mutant_ids),
+            mutants=tuple((m, statements.get(m)) for m in bm.mutant_ids()),
             tests=bm.tests,
             differentiator=d,
         )
@@ -443,14 +397,13 @@ def demo(out_dir):
         )
         (directory / "kills.csv").write_text(_DEMO_KILLS_CSV, encoding="utf-8")
         (directory / "dmsg.dot").write_text(dot, encoding="utf-8")
-        space = ProgramSpace(km.tests, "original", d, _demo_kill_matrix_source())
+        space = ProgramSpace(km.tests, "original", d, _demo_kill_matrix_source(km))
         lattice = annotate(build_lattice(3, km.tests), space, km.mutants)
         (directory / "lattice.dot").write_text(lattice_to_dot(lattice), encoding="utf-8")
 
 
-def _demo_kill_matrix_source():
+def _demo_kill_matrix_source(km: KillMatrix):
     """Behavior matrix that reproduces the demo kill bits under exact equality."""
-    km = KillMatrix.from_csv(_DEMO_KILLS_CSV)
     outputs = {"original": ["same"] * len(km.tests)}
     for m in km.mutants:
         outputs[m] = [

@@ -156,29 +156,29 @@ def _edit_statement(stmts: tuple[Stmt, ...], sid: int, editor) -> tuple[Stmt, ..
     return tuple(out)
 
 
-def _apply_site_edit(
-    program: Program, sid: int, site: int, operator: str, original: str, replacement: str
-) -> Program:
+def apply_descriptor(program: Program, desc: MutantDescriptor) -> Program:
+    """Re-apply a descriptor to the original program; the result renders to
+    exactly the mutant source the descriptor was generated with."""
     def edit(stmt: Stmt) -> Optional[Stmt]:
-        if site == 0:
-            if operator != OPERATOR_SDL:
+        if desc.site == 0:
+            if desc.operator != OPERATOR_SDL:
                 raise ValueError(f"site 0 is reserved for {OPERATOR_SDL}")
             return None
 
         def make(node: Expr) -> Expr:
-            if operator == OPERATOR_CRP:
-                if not isinstance(node, IntLit) or str(node.value) != original:
+            if desc.operator == OPERATOR_CRP:
+                if not isinstance(node, IntLit) or str(node.value) != desc.original:
                     raise ValueError(
-                        f"descriptor does not match site: expected literal {original}"
+                        f"descriptor does not match site: expected literal {desc.original}"
                     )
-                return IntLit(int(replacement))
-            if not isinstance(node, BinOp) or node.op != original:
+                return IntLit(int(desc.replacement))
+            if not isinstance(node, BinOp) or node.op != desc.original:
                 raise ValueError(
-                    f"descriptor does not match site: expected operator {original!r}"
+                    f"descriptor does not match site: expected operator {desc.original!r}"
                 )
-            return BinOp(replacement, node.left, node.right)
+            return BinOp(desc.replacement, node.left, node.right)
 
-        target = site - 1
+        target = desc.site - 1
         if isinstance(stmt, Assign):
             return Assign(stmt.sid, stmt.name, _rewrite_expr(stmt.value, target, make))
         if isinstance(stmt, Return):
@@ -190,17 +190,9 @@ def _apply_site_edit(
         raise TypeError(f"cannot mutate {type(stmt).__name__}")
 
     before = program.statement_ids()
-    if sid not in before:
-        raise ValueError(f"program has no statement {sid}")
-    return Program(_edit_statement(program.statements, sid, edit))
-
-
-def apply_descriptor(program: Program, desc: MutantDescriptor) -> Program:
-    """Re-apply a descriptor to the original program; the result renders to
-    exactly the mutant source the descriptor was generated with."""
-    return _apply_site_edit(
-        program, desc.statement, desc.site, desc.operator, desc.original, desc.replacement
-    )
+    if desc.statement not in before:
+        raise ValueError(f"program has no statement {desc.statement}")
+    return Program(_edit_statement(program.statements, desc.statement, edit))
 
 
 def mutate_all(
@@ -232,8 +224,5 @@ def mutate_all(
                 original=original,
                 replacement=replacement,
             )
-            mutant = _apply_site_edit(
-                program, stmt.sid, site, operator, original, replacement
-            )
-            results.append((desc, mutant))
+            results.append((desc, apply_descriptor(program, desc)))
     return results

@@ -13,6 +13,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
+from .behavior import pack_bits, select, unpack_bits
 from .errors import CapacityError
 from .space import Position, ProgramSpace, position
 
@@ -42,18 +43,14 @@ def deviant(sp: ProgramSpace, px: str, py: str) -> Optional[DevianceWitness]:
     ``px`` sits at the origin and ``py`` opposes it, all other dimensions
     agreeing.  Equal positions (in particular ``px == py``) yield ``None``.
     """
-    bx = position(sp, px).bits
-    by = position(sp, py).bits
-    td = []
-    for t, a, b in zip(sp.tests, bx, by):
-        if a == b:
-            continue
-        if a == 1:  # py would have to lose a difference: not deviance
-            return None
-        td.append(t)
+    bx, by = sp.mask(px), sp.mask(py)
+    if bx & ~by:  # py would have to lose a difference: not deviance
+        return None
+    td = by & ~bx
     if not td:
         return None
-    return DevianceWitness(bx, by, tuple(td))
+    n = len(sp.tests)
+    return DevianceWitness(unpack_bits(bx, n), unpack_bits(by, n), select(td, sp.tests))
 
 
 @dataclass(frozen=True)
@@ -90,10 +87,6 @@ class PositionLattice:
         return self.annotations.get(tuple(node), ())
 
 
-def _default_tests(n: int) -> tuple[str, ...]:
-    return tuple(f"t{i + 1}" for i in range(n))
-
-
 def build_lattice(
     n: int, tests: Optional[Sequence[str]] = None
 ) -> PositionLattice:
@@ -106,7 +99,7 @@ def build_lattice(
             f"explicit lattice construction is capped at dimension "
             f"{MAX_EXPLICIT_DIMENSION}; query deviance implicitly instead"
         )
-    names = tuple(tests) if tests is not None else _default_tests(n)
+    names = tuple(tests) if tests is not None else tuple(f"t{i + 1}" for i in range(n))
     return PositionLattice(n, names)
 
 
@@ -175,14 +168,13 @@ def reachable_by_deviance(lattice: PositionLattice, start: Node) -> set[Node]:
     start = tuple(start)
     if len(start) != lattice.dimension or any(b not in (0, 1) for b in start):
         raise ValueError(f"{start!r} is not a node of this lattice")
-    free = [i for i, b in enumerate(start) if b == 0]
+    base = pack_bits(start)
+    free = ~base & ((1 << lattice.dimension) - 1)
     out: set[Node] = set()
-    for r in range(1, len(free) + 1):
-        for combo in itertools.combinations(free, r):
-            node = list(start)
-            for i in combo:
-                node[i] = 1
-            out.add(tuple(node))
+    extra = free
+    while extra:  # every nonempty subset of the free bits, once
+        out.add(unpack_bits(base | extra, lattice.dimension))
+        extra = (extra - 1) & free
     return out
 
 
@@ -190,17 +182,25 @@ def _bits_label(node: Node) -> str:
     return "".join(str(b) for b in node) or "()"
 
 
+def dot_escape(name: str) -> str:
+    """``name`` as the body of a double-quoted DOT string."""
+    return name.replace("\\", "\\\\").replace('"', '\\"')
+
+
 def lattice_to_dot(lattice: PositionLattice, name: str = "positions") -> str:
     """DOT rendering with nodes in ascending bit-string order and edges
     labeled by their deviating test."""
     lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    for node in lattice.nodes():
-        label = _bits_label(node)
+    ids = {node: _bits_label(node) for node in lattice.nodes()}
+    for node, node_id in ids.items():
+        label = node_id
         progs = lattice.programs_at(node)
         if progs:
-            label += "\\n" + ",".join(sorted(progs))
-        lines.append(f'  "{_bits_label(node)}" [label="{label}"];')
+            label += "\\n" + ",".join(dot_escape(p) for p in sorted(progs))
+        lines.append(f'  "{node_id}" [label="{label}"];')
+    # escaped once per export: there are n * 2^(n-1) edges but n test names
+    names = {t: dot_escape(t) for t in lattice.tests}
     for u, v, t in lattice.edges():
-        lines.append(f'  "{_bits_label(u)}" -> "{_bits_label(v)}" [label="{t}"];')
+        lines.append(f'  "{ids[u]}" -> "{ids[v]}" [label="{names[t]}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

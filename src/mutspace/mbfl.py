@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Mapping, Optional, Sequence, Union
 
 from .behavior import (
@@ -24,10 +24,10 @@ from .behavior import (
     BehaviorMatrix,
     Differentiator,
     TestVector,
-    differentiate,
-    diff_vector,
+    select,
 )
 from .errors import RoleError
+from .space import ProgramSpace
 
 StatementId = Union[int, str]
 
@@ -42,12 +42,18 @@ METRICS = (METRIC_OCHIAI, METRIC_JACCARD)
 class FaultLocalizationInput:
     """Everything a localization run needs: a matrix carrying both the spec
     and original roles, mutants tagged with their statement, the tests to
-    score over, and the difference policy."""
+    score over, and the difference policy.
+
+    ``spec_space`` and ``original_space`` anchor the tests at the spec and
+    the original; every score reads their cached position masks.
+    """
 
     matrix: BehaviorMatrix
     mutants: tuple[tuple[str, Optional[StatementId]], ...]
     tests: TestVector
     differentiator: Differentiator
+    spec_space: ProgramSpace = field(init=False, repr=False, compare=False)
+    original_space: ProgramSpace = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(
@@ -62,6 +68,11 @@ class FaultLocalizationInput:
             raise ValueError("duplicate mutant id in localization input")
         for m in ids:
             self.matrix.entry(m)
+        def space(origin: str) -> ProgramSpace:
+            return ProgramSpace(self.tests, origin, self.differentiator, self.matrix)
+
+        object.__setattr__(self, "spec_space", space(self.spec_id))
+        object.__setattr__(self, "original_space", space(self.original_id))
 
     @property
     def spec_id(self) -> str:
@@ -71,27 +82,19 @@ class FaultLocalizationInput:
     def original_id(self) -> str:
         return self.matrix.role_holder(ROLE_ORIGINAL)
 
-    def statement_of(self, mutant: str) -> Optional[StatementId]:
-        for m, s in self.mutants:
-            if m == mutant:
-                return s
-        raise ValueError(f"unknown mutant {mutant!r}")
-
     def mutant_ids(self) -> tuple[str, ...]:
         return tuple(m for m, _ in self.mutants)
+
+
+def _changed(inp: FaultLocalizationInput, m: str) -> int:
+    """Mask of the tests whose spec-relative bit flips from original to ``m``."""
+    return inp.spec_space.mask(inp.original_id) ^ inp.spec_space.mask(m)
 
 
 def changed_tests(inp: FaultLocalizationInput, m: str) -> TestVector:
     """Tests whose spec-relative verdict differs between the original and
     the mutant: exactly the fail->pass and pass->fail flips."""
-    d, ps, po = inp.differentiator, inp.spec_id, inp.original_id
-    flipped = tuple(
-        t
-        for t in inp.tests
-        if differentiate(d, t, ps, po, inp.matrix)
-        != differentiate(d, t, ps, m, inp.matrix)
-    )
-    return TestVector(flipped)
+    return TestVector(select(_changed(inp, m), inp.tests))
 
 
 @dataclass(frozen=True)
@@ -103,17 +106,15 @@ class FixCounts:
 def fix_counts(inp: FaultLocalizationInput, m: str) -> FixCounts:
     """Over the changed tests: zeros of the mutant's spec-relative bits are
     fail->pass flips, ones are pass->fail flips."""
-    t_changed = changed_tests(inp, m)
-    bits = diff_vector(inp.differentiator, t_changed, inp.spec_id, m, inp.matrix).bits
-    ones = sum(bits)
-    return FixCounts(fail_to_pass=len(bits) - ones, pass_to_fail=ones)
+    changed = _changed(inp, m)
+    ones = (changed & inp.spec_space.mask(m)).bit_count()
+    return FixCounts(fail_to_pass=changed.bit_count() - ones, pass_to_fail=ones)
 
 
 def fix_score(inp: FaultLocalizationInput, m: str) -> float:
     """Proportion of failing tests fixed minus proportion of passing tests
     broken; a term with zero denominator contributes 0."""
-    d, ps, po = inp.differentiator, inp.spec_id, inp.original_id
-    failing = sum(differentiate(d, t, ps, po, inp.matrix) for t in inp.tests)
+    failing = inp.spec_space.mask(inp.original_id).bit_count()
     passing = len(inp.tests) - failing
     counts = fix_counts(inp, m)
     score = 0.0
@@ -131,12 +132,11 @@ def flt_score(
     failure vector, both taken relative to the original program."""
     if metric not in METRICS:
         raise ValueError(f"unknown similarity metric {metric!r}")
-    d, ps, po = inp.differentiator, inp.spec_id, inp.original_id
-    kills = diff_vector(d, inp.tests, po, m, inp.matrix).bits
-    fails = diff_vector(d, inp.tests, po, ps, inp.matrix).bits
-    a = sum(k & f for k, f in zip(kills, fails))
-    b = sum(k & (1 - f) for k, f in zip(kills, fails))
-    c = sum((1 - k) & f for k, f in zip(kills, fails))
+    kills = inp.original_space.mask(m)
+    fails = inp.original_space.mask(inp.spec_id)
+    a = (kills & fails).bit_count()
+    b = (kills & ~fails).bit_count()
+    c = (fails & ~kills).bit_count()
     if metric == METRIC_OCHIAI:
         denom = math.sqrt((a + b) * (a + c))
     else:
@@ -228,19 +228,15 @@ class MethodComparison:
 
 
 def compare_methods(inp: FaultLocalizationInput, m: str) -> MethodComparison:
-    d, ps, po = inp.differentiator, inp.spec_id, inp.original_id
-    tests = []
-    flt_same: dict[str, bool] = {}
-    fix_diff: dict[str, bool] = {}
-    for t in inp.tests:
-        spec_orig = differentiate(d, t, ps, po, inp.matrix)
-        orig_mut = differentiate(d, t, po, m, inp.matrix)
-        spec_mut = differentiate(d, t, ps, m, inp.matrix)
-        if spec_orig and orig_mut and spec_mut:
-            tests.append(t)
-            flt_same[t] = orig_mut == spec_orig
-            fix_diff[t] = spec_mut == 1
-    return MethodComparison(m, tuple(tests), flt_same, fix_diff)
+    spec_orig = inp.spec_space.mask(inp.original_id)
+    orig_mut = inp.original_space.mask(m)
+    spec_mut = inp.spec_space.mask(m)
+    tests = select(spec_orig & orig_mut & spec_mut, inp.tests)
+    # all three bits are 1 on these tests: the kill bit equals the failure
+    # bit (flt: same) and the spec-relative bit is 1 (fix: different)
+    return MethodComparison(
+        m, tests, dict.fromkeys(tests, True), dict.fromkeys(tests, True)
+    )
 
 
 def report_to_json_obj(

@@ -1,25 +1,29 @@
 """Program spaces: positions of programs relative to an origin.
 
 A space is identified by (tests, origin, differentiator); the behavior
-matrix is carried along only as the data source.  Positions are computed
-on demand from the matrix so they can never go stale.
+matrix is carried along only as the data source.  Each program's position
+is computed from the matrix on first use and then kept as a mask on the
+space.  Cached positions cannot go stale because matrices are immutable,
+and the cache is write-once, so spaces stay safe to share.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional
 
 from .behavior import (
     BehaviorMatrix,
     Differentiator,
     TestVector,
+    diff_mask,
     differentiate,
-    diff_vector,
+    select,
+    unpack_bits,
 )
 from .errors import UnknownIdError
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class ProgramSpace:
     """Coordinate system over a test vector, anchored at an origin program.
 
@@ -30,48 +34,52 @@ class ProgramSpace:
     tests: TestVector
     origin: str
     differentiator: Differentiator
-    matrix: BehaviorMatrix
+    matrix: BehaviorMatrix = field(compare=False)
+    _masks: dict[str, int] = field(
+        default_factory=dict, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self):
         object.__setattr__(self, "tests", TestVector.of(self.tests))
         if not self.matrix.has_program(self.origin):
             raise UnknownIdError(f"unknown program id {self.origin!r}")
+        known = set(self.matrix.tests)
         for t in self.tests:
-            if t not in self.matrix.tests:
+            if t not in known:
                 raise UnknownIdError(f"unknown test id {t!r}")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ProgramSpace):
-            return NotImplemented
-        return (
-            self.tests == other.tests
-            and self.origin == other.origin
-            and self.differentiator == other.differentiator
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.tests, self.origin, self.differentiator))
 
     def dimension(self) -> int:
         return len(self.tests)
 
+    def mask(self, p: str) -> int:
+        """Packed position of ``p`` (bit i is ``tests[i]``), computed once."""
+        if p not in self._masks:
+            self._masks[p] = diff_mask(
+                self.differentiator, self.tests, self.origin, p, self.matrix
+            )
+        return self._masks[p]
+
 
 @dataclass(frozen=True)
 class Position:
-    """A program's difference bits relative to the space origin, per test."""
+    """A program's difference bits relative to the space origin, packed in
+    ``mask``; ``bits`` is the per-test tuple view."""
 
-    bits: tuple[int, ...]
+    mask: int
     space: ProgramSpace
     subject: str
 
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return unpack_bits(self.mask, len(self.space.tests))
+
     def distance(self) -> int:
-        return sum(self.bits)
+        return self.mask.bit_count()
 
 
 def position(sp: ProgramSpace, p: str) -> Position:
     """Locate program ``p`` in the space; the origin sits at the zero vector."""
-    v = diff_vector(sp.differentiator, sp.tests, sp.origin, p, sp.matrix)
-    return Position(v.bits, sp, p)
+    return Position(sp.mask(p), sp, p)
 
 
 def distance_from_origin(pos: Position) -> int:
@@ -90,9 +98,7 @@ def distinguishing_dimensions(sp: ProgramSpace, px: str, py: str) -> list[str]:
     directly: a positional difference in a dimension forces a behavioral
     difference for that dimension's test.
     """
-    bx = position(sp, px).bits
-    by = position(sp, py).bits
-    return [t for t, a, b in zip(sp.tests, bx, by) if a != b]
+    return list(select(sp.mask(px) ^ sp.mask(py), sp.tests))
 
 
 def coincidence_counterexample(
@@ -104,11 +110,8 @@ def coincidence_counterexample(
     behavior (it happens when both programs differ from the origin in
     distinct ways).  Returns ``None`` when no witness exists.
     """
-    bx = position(sp, px).bits
-    by = position(sp, py).bits
+    agree = select(~(sp.mask(px) ^ sp.mask(py)), sp.tests)
     found = [
-        t
-        for t, a, b in zip(sp.tests, bx, by)
-        if a == b and differentiate(sp.differentiator, t, px, py, sp.matrix)
+        t for t in agree if differentiate(sp.differentiator, t, px, py, sp.matrix)
     ]
     return found or None

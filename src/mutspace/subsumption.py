@@ -10,8 +10,10 @@ classes give a minimal mutant set.
 """
 from __future__ import annotations
 
+import csv
+import io
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from typing import Sequence
 
 from .behavior import (
@@ -19,20 +21,33 @@ from .behavior import (
     AdequacyResult,
     BehaviorMatrix,
     TestVector,
-    differentiate,
+    adequacy_from_masks,
+    pack_bits,
+    select,
+    unpack_bits,
 )
 from .errors import RoleError
-from .lattice import deviant
-from .space import ProgramSpace, position
+from .lattice import deviant, dot_escape
+from .space import ProgramSpace
+
+
+def _subsumes(cx: int, cy: int) -> bool:
+    """Kill mask ``cx`` is nonzero and every test in it is also in ``cy``."""
+    return cx != 0 and cx & ~cy == 0
 
 
 @dataclass(frozen=True)
 class KillMatrix:
-    """n-by-M bit matrix: rows are tests, columns are mutants."""
+    """n-by-M bit matrix: rows are tests, columns are mutants.
+
+    Each column is also kept packed as a mask (bit i is ``tests[i]``);
+    :meth:`column` is its tuple view.
+    """
 
     tests: TestVector
     mutants: tuple[str, ...]
     bits: tuple[tuple[int, ...], ...]
+    _masks: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tests", TestVector.of(self.tests))
@@ -47,43 +62,59 @@ class KillMatrix:
                 raise ValueError("one column per mutant required")
             if any(b not in (0, 1) for b in row):
                 raise ValueError("kill matrix cells must be 0 or 1")
+        columns = zip(*self.bits) if self.bits else [()] * len(self.mutants)
+        object.__setattr__(
+            self, "_masks", dict(zip(self.mutants, map(pack_bits, columns)))
+        )
+
+    def mask(self, mutant: str) -> int:
+        """Packed kill column of ``mutant``."""
+        try:
+            return self._masks[mutant]
+        except KeyError:
+            raise ValueError(f"unknown mutant {mutant!r}") from None
 
     def column(self, mutant: str) -> tuple[int, ...]:
-        j = self.mutants.index(mutant)
-        return tuple(row[j] for row in self.bits)
+        return unpack_bits(self.mask(mutant), len(self.tests))
 
     def killed_mutants(self) -> tuple[str, ...]:
-        return tuple(m for m in self.mutants if any(self.column(m)))
+        return tuple(m for m, mask in self._masks.items() if mask)
 
     def to_csv(self) -> str:
-        lines = ["test," + ",".join(self.mutants)]
+        out = io.StringIO()
+        writer = csv.writer(out, lineterminator="\n")
+        writer.writerow(("test",) + self.mutants)
         for t, row in zip(self.tests, self.bits):
-            lines.append(t + "," + ",".join(str(b) for b in row))
-        return "\n".join(lines) + "\n"
+            writer.writerow((t,) + row)
+        return out.getvalue()
 
     @classmethod
     def from_csv(cls, text: str) -> "KillMatrix":
-        lines = [line for line in text.splitlines() if line.strip()]
+        reader = csv.reader(io.StringIO(text, newline=""))
+        try:  # (line number, fields) of the non-blank lines
+            lines = [
+                (reader.line_num, f) for f in reader if len(f) > 1 or "".join(f).strip()
+            ]
+        except csv.Error as exc:
+            raise ValueError(f"line {reader.line_num}: {exc}") from exc
         if not lines:
             raise ValueError("empty kill matrix CSV")
-        header = lines[0].split(",")
+        header = lines[0][1]
         if header[0] != "test":
             raise ValueError("kill matrix CSV must start with a 'test' header column")
         mutants = tuple(header[1:])
         tests = []
         rows = []
-        for lineno, line in enumerate(lines[1:], start=2):
-            fields = line.split(",")
+        for lineno, fields in lines[1:]:
             if len(fields) != len(header):
                 raise ValueError(
                     f"line {lineno}: expected {len(header)} fields, got {len(fields)}"
                 )
             tests.append(fields[0])
             try:
-                row = tuple(int(v) for v in fields[1:])
+                rows.append(tuple(int(v) for v in fields[1:]))
             except ValueError as exc:
                 raise ValueError(f"line {lineno}: cells must be 0 or 1") from exc
-            rows.append(row)
         return cls(TestVector(tuple(tests)), mutants, tuple(rows))
 
 
@@ -97,9 +128,11 @@ def kill_matrix(
             f"kill matrices are defined against the original program; "
             f"{sp.origin!r} does not carry role 'original'"
         )
+    if bm is not sp.matrix:  # the bits come from ``bm``
+        sp = replace(sp, matrix=bm)
+    columns = [sp.mask(m) for m in mutants]
     rows = tuple(
-        tuple(differentiate(sp.differentiator, t, sp.origin, m, bm) for m in mutants)
-        for t in sp.tests
+        tuple(mask >> i & 1 for mask in columns) for i in range(len(sp.tests))
     )
     return KillMatrix(sp.tests, tuple(mutants), rows)
 
@@ -107,13 +140,7 @@ def kill_matrix(
 def dynamically_subsumes(km: KillMatrix, mx: str, my: str) -> bool:
     """True iff ``mx`` is killed at least once and every test killing ``mx``
     also kills ``my``.  A mutant never subsumes itself."""
-    if mx == my:
-        return False
-    cx = km.column(mx)
-    cy = km.column(my)
-    if not any(cx):
-        return False
-    return all(b <= c for b, c in zip(cx, cy))
+    return mx != my and _subsumes(km.mask(mx), km.mask(my))
 
 
 @dataclass(frozen=True)
@@ -123,6 +150,10 @@ class MutantClass:
 
     members: tuple[str, ...]
     column: tuple[int, ...]
+    mask: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "mask", pack_bits(self.column))
 
     @property
     def representative(self) -> str:
@@ -150,11 +181,7 @@ class SubsumptionGraph:
 
     def subsumes(self, i: int, j: int) -> bool:
         """Strict subsumption between classes, by their columns."""
-        if i == j:
-            return False
-        ci = self.classes[i].column
-        cj = self.classes[j].column
-        return all(a <= b for a, b in zip(ci, cj))
+        return i != j and _subsumes(self.classes[i].mask, self.classes[j].mask)
 
     def roots(self) -> tuple[int, ...]:
         incoming = {j for _, j in self.edges}
@@ -164,35 +191,32 @@ class SubsumptionGraph:
 def build_dmsg(km: KillMatrix) -> SubsumptionGraph:
     """Group killed mutants by identical kill columns and order the groups
     by strict subsumption; the stored edge set is the transitive reduction."""
-    by_column: dict[tuple[int, ...], list[str]] = {}
-    order: list[tuple[int, ...]] = []
+    by_mask: dict[int, list[str]] = {}
     live = []
     for m in km.mutants:
-        col = km.column(m)
-        if not any(col):
+        mask = km.mask(m)
+        if mask:
+            by_mask.setdefault(mask, []).append(m)
+        else:
             live.append(m)
-            continue
-        if col not in by_column:
-            by_column[col] = []
-            order.append(col)
-        by_column[col].append(m)
-    classes = tuple(MutantClass(tuple(by_column[col]), col) for col in order)
-    n = len(classes)
-
-    def strict(i: int, j: int) -> bool:
-        return i != j and all(
-            a <= b for a, b in zip(classes[i].column, classes[j].column)
-        )
-
-    closure = {(i, j) for i in range(n) for j in range(n) if strict(i, j)}
-    reduction = tuple(
-        sorted(
-            (i, j)
-            for i, j in closure
-            if not any((i, k) in closure and (k, j) in closure for k in range(n))
-        )
+    n = len(km.tests)
+    classes = tuple(
+        MutantClass(tuple(members), unpack_bits(mask, n))
+        for mask, members in by_mask.items()
     )
-    return SubsumptionGraph(classes, reduction, tuple(live))
+    masks = list(by_mask)
+    # below[i]: bit j is set iff class i strictly subsumes class j
+    below = [
+        sum(1 << j for j, cj in enumerate(masks) if ci != cj and _subsumes(ci, cj))
+        for ci in masks
+    ]
+    edges = []
+    for i, reach in enumerate(below):
+        indirect = 0
+        for k in select(reach, range(len(below))):
+            indirect |= below[k]
+        edges.extend((i, j) for j in select(reach & ~indirect, range(len(below))))
+    return SubsumptionGraph(classes, tuple(edges), tuple(live))
 
 
 @dataclass(frozen=True)
@@ -227,8 +251,6 @@ def max_minimal_size(n: int) -> int:
     for n = 0 (only the empty position exists)."""
     if n < 0:
         raise ValueError("test count must be nonnegative")
-    if n == 0:
-        return 1
     return math.comb(n, n // 2)
 
 
@@ -254,17 +276,16 @@ def deviance_subsumption_equivalence(
 
     Route one walks positions: the origin must strictly precede ``mx`` in
     the deviance order and ``my`` must be deviant-from-or-equal to ``mx``.
-    Route two scans the kill matrix rows directly.  The pair (m, m) is
+    Route two reads the kill matrix columns.  The pair (m, m) is
     defined as (False, False).
     """
     if km.tests != sp.tests:
         raise ValueError("kill matrix tests do not match the space dimensions")
     if mx == my:
         return EquivalenceCheck(False, False)
-    pos_x = position(sp, mx)
-    pos_y = position(sp, my)
-    origin_precedes = pos_x.distance() > 0
-    x_to_y = pos_x.bits == pos_y.bits or deviant(sp, mx, my) is not None
+    pos_x, pos_y = sp.mask(mx), sp.mask(my)
+    origin_precedes = pos_x != 0
+    x_to_y = pos_x == pos_y or deviant(sp, mx, my) is not None
     return EquivalenceCheck(
         deviance_path_holds=origin_precedes and x_to_y,
         subsumes=dynamically_subsumes(km, mx, my),
@@ -277,24 +298,14 @@ def adequacy_from_kills(km: KillMatrix) -> AdequacyResult:
     ``killers`` maps each killed mutant to the earliest killing test in
     row order.
     """
-    live = []
-    killers: dict[str, str] = {}
-    for m in km.mutants:
-        col = km.column(m)
-        for t, bit in zip(km.tests, col):
-            if bit:
-                killers[m] = t
-                break
-        else:
-            live.append(m)
-    return AdequacyResult(adequate=not live, live=tuple(live), killers=killers)
+    return adequacy_from_masks(km.tests, ((m, km.mask(m)) for m in km.mutants))
 
 
 def dmsg_to_dot(graph: SubsumptionGraph, name: str = "dmsg") -> str:
     """DOT rendering; class nodes list their member mutants."""
     lines = [f"digraph {name} {{"]
     for i, cls in enumerate(graph.classes):
-        label = ",".join(cls.members)
+        label = ",".join(dot_escape(m) for m in cls.members)
         lines.append(f'  c{i} [label="{label}"];')
     for i, j in graph.edges:
         lines.append(f"  c{i} -> c{j};")

@@ -132,6 +132,23 @@ def test_run_honors_budget_env_var(runner, tmp_path):
     assert bm.token("original", "T1").status == "timeout"
 
 
+@pytest.mark.parametrize(
+    "args, env, source",
+    [
+        (["--budget", "0"], {}, "--budget"),
+        (["--budget", "-5"], {}, "--budget"),
+        ([], {"MUTSPACE_BUDGET": "0"}, "MUTSPACE_BUDGET"),
+    ],
+)
+def test_run_rejects_nonpositive_budget(runner, tmp_path, args, env, source):
+    program, tests, _ = write_faulty_inputs(tmp_path)
+    result = runner.invoke(
+        main, ["run", "--program", str(program), "--tests", str(tests)] + args, env=env
+    )
+    assert result.exit_code == 2
+    assert source in result.stderr
+
+
 def test_run_rejects_bad_tests_file(runner, tmp_path):
     program, tests, expected = write_faulty_inputs(tmp_path)
     tests.write_text(json.dumps([{"id": "T1", "inputs": {"a": "x"}}]))

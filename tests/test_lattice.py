@@ -258,6 +258,14 @@ def test_dot_output_is_deterministic_and_complete():
     assert dot.count("->") == 12
 
 
+def test_dot_escapes_quotes_and_backslashes_in_names():
+    bm = matrix_from_outputs(['x"y', "t2"], {"po": ["a", "a"], "p\\q": ["b", "a"]})
+    sp = ProgramSpace(bm.tests, "po", EXACT, bm)
+    dot = lattice_to_dot(annotate(build_lattice(2, bm.tests), sp, ["p\\q"]))
+    assert '"10" [label="10\\np\\\\q"];' in dot
+    assert '"00" -> "10" [label="x\\"y"];' in dot
+
+
 def test_dot_nodes_in_ascending_binary_order():
     dot = lattice_to_dot(build_lattice(2))
     order = [

@@ -89,6 +89,16 @@ def test_csv_rejects_malformed_input():
         KillMatrix.from_csv("test,m1\nt1,x\n")
 
 
+def test_csv_round_trips_ids_with_commas_and_quotes():
+    km = KillMatrix(
+        TestVector(("t,1", 't"2')), ("a,b", 'x"y', "plain"), ((1, 0, 1), (0, 1, 1))
+    )
+    text = km.to_csv()
+    assert text.splitlines()[0] == 'test,"a,b","x""y",plain'
+    assert KillMatrix.from_csv(text) == km
+    assert KillMatrix.from_csv(text).to_csv() == text
+
+
 # --- dynamic subsumption ----------------------------------------------------------
 
 
@@ -171,6 +181,12 @@ def test_dmsg_dot_lists_class_members():
     assert 'c0 [label="a,b"];' in dot
     assert 'c1 [label="c"];' in dot
     assert "c0 -> c1;" in dot
+
+
+def test_dmsg_dot_escapes_quotes_and_backslashes():
+    km = KillMatrix(TestVector(("t1",)), ('x"y', "p\\q"), ((1, 1),))
+    dot = dmsg_to_dot(build_dmsg(km))
+    assert 'c0 [label="x\\"y,p\\\\q"];' in dot
 
 
 # --- minimal mutant sets ----------------------------------------------------------------
