@@ -271,7 +271,7 @@ class Differentiator:
         if self.policy not in POLICIES:
             raise ValueError(f"unknown differentiator policy {self.policy!r}")
         if self.policy == POLICY_NUMERIC:
-            if self.tolerance is None or self.tolerance < 0:
+            if self.tolerance is None or not self.tolerance >= 0:  # NaN too
                 raise ValueError("numeric policy requires a nonnegative tolerance")
         elif self.tolerance is not None:
             raise ValueError(f"policy {self.policy!r} does not take a tolerance")

@@ -53,7 +53,10 @@ def _differentiator(policy: str, epsilon: Optional[float]) -> Differentiator:
     if policy == "numeric":
         if epsilon is None:
             raise click.UsageError("--policy numeric requires --epsilon")
-        return Differentiator.numeric(epsilon)
+        try:
+            return Differentiator.numeric(epsilon)
+        except ValueError as exc:  # a negative or NaN tolerance
+            raise click.UsageError(f"--epsilon: {exc}") from None
     return Differentiator(policy)
 
 

@@ -1,16 +1,36 @@
-"""Tree-walking interpreter producing behavior tokens.
+"""Compile-once interpreter producing behavior tokens.
+
+Each program is compiled once into nested Python closures, one per
+expression node and one per statement; ``behavior_matrix`` compiles every
+row (the original and each mutant) once and runs that code on every test,
+and ``execute`` compiles and then runs.  Compiled code is private to the
+call that made it: nothing is cached across calls or shared between rows.
+
+Steps: a step is taken on entry to each statement and again before each
+further ``while`` check.  A run that needs exactly B steps returns normally
+at budget B and times out at budget B - 1, on the same step as any other
+run of the same program.
 
 Every abnormal outcome (division by zero, unbound variable, exhausted step
-budget) is encoded in the returned token rather than raised, so
-differentiators can observe it.  Execution is a pure function of
-(program, test, budget, tracing): arithmetic is exact big-integer math;
-division truncates toward zero and the remainder matches it, so
-(a / b) * b + a % b == a.
+budget, a returned integer too large to print) is encoded in the returned
+token rather than raised, so differentiators can observe it.  Execution is
+a pure function of (program, test, budget, tracing): arithmetic is exact
+big-integer math; evaluation is left to right; ``&&`` and ``||``
+short-circuit and give 0 or 1; division truncates toward zero and the
+remainder matches it, so (a / b) * b + a % b == a.
+
+Python converts an int of more than 4,300 digits to text only if the
+process-global limit (``sys.set_int_max_str_digits``) allows it; this
+module neither reads nor changes that limit.  A ``return`` of a value that
+cannot be converted halts with kind ``integer too large`` (status
+``error``, trace entry ``! integer too large``), and traced store text
+shows such a value as ``<integer too large>``.  Tracing therefore never
+changes a token's output or status.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Callable, Iterator, Mapping, Optional, Sequence
 
 from ..behavior import (
     ROLE_MUTANT,
@@ -24,9 +44,17 @@ from ..behavior import (
     ProgramEntry,
     TestVector,
 )
-from .syntax import Assign, BinOp, Expr, If, IntLit, Program, Return, UnaryOp, Var, While
+from .syntax import Assign, BinOp, Expr, If, IntLit, Program, Return, Stmt, UnaryOp, Var, While
 
 DEFAULT_BUDGET = 100_000
+_TOO_LARGE = "integer too large"
+
+_Env = dict[str, int]
+_Trace = Optional[list[tuple[int, str]]]
+_ExprCode = Callable[[_Env], int]
+# (env, steps, trace): ``next(steps)`` takes one step and raises
+# StopIteration once the budget is spent; ``trace`` is None when off
+_StmtCode = Callable[[_Env, Iterator[int], _Trace], None]
 
 
 @dataclass(frozen=True)
@@ -40,145 +68,190 @@ class TestCase:
 
 
 class _Halt(Exception):
-    """Abnormal termination; ``kind`` becomes the token output."""
+    """Abnormal termination in statement ``sid``; ``kind`` becomes the
+    token output."""
 
-    def __init__(self, kind: str):
+    def __init__(self, kind: str, sid: int):
         super().__init__(kind)
         self.kind = kind
-        self.recorded = False
-
-
-class _Timeout(Exception):
-    pass
+        self.sid = sid
 
 
 class _Return(Exception):
-    def __init__(self, value: int):
-        super().__init__(value)
-        self.value = value
+    def __init__(self, text: str):
+        super().__init__(text)
+        self.text = text
 
 
 def _trunc_div(a: int, b: int) -> int:
-    if b == 0:
-        raise _Halt("division by zero")
     q = abs(a) // abs(b)
     return q if (a >= 0) == (b >= 0) else -q
 
 
-def _trunc_mod(a: int, b: int) -> int:
-    if b == 0:
-        raise _Halt("modulo by zero")
-    return a - _trunc_div(a, b) * b
+def _value_text(v: int) -> str:
+    try:
+        return str(v)
+    except ValueError:
+        return f"<{_TOO_LARGE}>"
 
 
-def _truthy(v: int) -> bool:
-    return v != 0
+def _store_text(env: _Env) -> str:
+    try:
+        return " ".join([f"{k}={v}" for k, v in sorted(env.items())])
+    except ValueError:  # some value is too large to convert
+        return " ".join([f"{k}={_value_text(v)}" for k, v in sorted(env.items())])
 
 
-def _eval(expr: Expr, env: dict[str, int]) -> int:
+# Values are ints, so Python truthiness is the language's ``!= 0``.
+_BINARY: dict[str, Callable[[_ExprCode, _ExprCode], _ExprCode]] = {
+    "+": lambda a, b: lambda env: a(env) + b(env),
+    "-": lambda a, b: lambda env: a(env) - b(env),
+    "*": lambda a, b: lambda env: a(env) * b(env),
+    "<": lambda a, b: lambda env: 1 if a(env) < b(env) else 0,
+    "<=": lambda a, b: lambda env: 1 if a(env) <= b(env) else 0,
+    ">": lambda a, b: lambda env: 1 if a(env) > b(env) else 0,
+    ">=": lambda a, b: lambda env: 1 if a(env) >= b(env) else 0,
+    "==": lambda a, b: lambda env: 1 if a(env) == b(env) else 0,
+    "!=": lambda a, b: lambda env: 1 if a(env) != b(env) else 0,
+    "&&": lambda a, b: lambda env: 1 if a(env) and b(env) else 0,
+    "||": lambda a, b: lambda env: 1 if a(env) or b(env) else 0,
+}
+
+
+def _compile_expr(expr: Expr, sid: int) -> _ExprCode:
+    """Code for ``expr``; halts name ``sid``, the statement evaluating it."""
     if isinstance(expr, IntLit):
-        return expr.value
+        value = expr.value
+        return lambda env: value
     if isinstance(expr, Var):
-        if expr.name not in env:
-            raise _Halt(f"unbound variable: {expr.name}")
-        return env[expr.name]
+        name = expr.name
+
+        def var(env: _Env) -> int:
+            try:
+                return env[name]
+            except KeyError:
+                raise _Halt(f"unbound variable: {name}", sid) from None
+
+        return var
     if isinstance(expr, UnaryOp):
+        operand = _compile_expr(expr.operand, sid)
         if expr.op == "-":
-            return -_eval(expr.operand, env)
-        return 0 if _truthy(_eval(expr.operand, env)) else 1
+            return lambda env: -operand(env)
+        return lambda env: 0 if operand(env) else 1
     if isinstance(expr, BinOp):
-        op = expr.op
-        if op == "&&":  # short-circuit, normalized to 0/1
-            if not _truthy(_eval(expr.left, env)):
-                return 0
-            return 1 if _truthy(_eval(expr.right, env)) else 0
-        if op == "||":
-            if _truthy(_eval(expr.left, env)):
-                return 1
-            return 1 if _truthy(_eval(expr.right, env)) else 0
-        a = _eval(expr.left, env)
-        b = _eval(expr.right, env)
-        if op == "+":
-            return a + b
-        if op == "-":
-            return a - b
-        if op == "*":
-            return a * b
-        if op == "/":
-            return _trunc_div(a, b)
-        if op == "%":
-            return _trunc_mod(a, b)
-        if op == "<":
-            return 1 if a < b else 0
-        if op == "<=":
-            return 1 if a <= b else 0
-        if op == ">":
-            return 1 if a > b else 0
-        if op == ">=":
-            return 1 if a >= b else 0
-        if op == "==":
-            return 1 if a == b else 0
-        if op == "!=":
-            return 1 if a != b else 0
-    raise TypeError(f"cannot evaluate {type(expr).__name__}")
+        left = _compile_expr(expr.left, sid)
+        right = _compile_expr(expr.right, sid)
+        if expr.op == "/":
+
+            def div(env: _Env) -> int:
+                a, b = left(env), right(env)
+                if b == 0:
+                    raise _Halt("division by zero", sid)
+                return _trunc_div(a, b)
+
+            return div
+        if expr.op == "%":
+
+            def mod(env: _Env) -> int:
+                a, b = left(env), right(env)
+                if b == 0:
+                    raise _Halt("modulo by zero", sid)
+                return a - _trunc_div(a, b) * b
+
+            return mod
+        return _BINARY[expr.op](left, right)
+    raise TypeError(f"cannot compile {type(expr).__name__}")
 
 
-class _Run:
-    def __init__(self, env: dict[str, int], budget: int, tracing: bool):
-        self.env = env
-        self.budget = budget
-        self.steps = 0
-        self.tracing = tracing
-        self.trace: list[tuple[int, str]] = []
+def _compile_block(stmts: Sequence[Stmt]) -> tuple[_StmtCode, ...]:
+    return tuple(map(_compile_stmt, stmts))
 
-    def tick(self) -> None:
-        self.steps += 1
-        if self.steps > self.budget:
-            raise _Timeout()
 
-    def store_text(self) -> str:
-        return " ".join(f"{k}={v}" for k, v in sorted(self.env.items()))
+def _compile_stmt(stmt: Stmt) -> _StmtCode:
+    sid = stmt.sid
+    if isinstance(stmt, Assign):
+        name, value = stmt.name, _compile_expr(stmt.value, sid)
 
-    def record(self, sid: int, suffix: str = "") -> None:
-        if self.tracing:
-            text = self.store_text()
-            if suffix:
-                text = f"{text} {suffix}" if text else suffix
-            self.trace.append((sid, text))
+        def assign(env: _Env, steps: Iterator[int], trace: _Trace) -> None:
+            next(steps)
+            env[name] = value(env)
+            if trace is not None:
+                trace.append((sid, _store_text(env)))
 
-    def exec_block(self, stmts) -> None:
-        for stmt in stmts:
-            self.exec_stmt(stmt)
+        return assign
+    if isinstance(stmt, Return):
+        value = _compile_expr(stmt.value, sid)
 
-    def exec_stmt(self, stmt) -> None:
-        self.tick()
+        def return_(env: _Env, steps: Iterator[int], trace: _Trace) -> None:
+            next(steps)
+            result = value(env)
+            try:
+                text = str(result)
+            except ValueError:
+                raise _Halt(_TOO_LARGE, sid) from None
+            if trace is not None:
+                store = _store_text(env)
+                trace.append((sid, f"{store} -> {text}" if store else f"-> {text}"))
+            raise _Return(text)
+
+        return return_
+    if isinstance(stmt, If):
+        cond = _compile_expr(stmt.cond, sid)
+        then_body = _compile_block(stmt.then_body)
+        else_body = _compile_block(stmt.else_body)
+
+        def if_(env: _Env, steps: Iterator[int], trace: _Trace) -> None:
+            next(steps)
+            taken = cond(env)
+            if trace is not None:
+                trace.append((sid, _store_text(env)))
+            for s in then_body if taken else else_body:
+                s(env, steps, trace)
+
+        return if_
+    if isinstance(stmt, While):
+        cond = _compile_expr(stmt.cond, sid)
+        body = _compile_block(stmt.body)
+
+        def while_(env: _Env, steps: Iterator[int], trace: _Trace) -> None:
+            next(steps)
+            while True:
+                live = cond(env)
+                if trace is not None:
+                    trace.append((sid, _store_text(env)))
+                if not live:
+                    return
+                for s in body:
+                    s(env, steps, trace)
+                next(steps)  # each further condition check costs a step
+
+        return while_
+    raise TypeError(f"cannot compile {type(stmt).__name__}")
+
+
+def _compile(program: Program) -> Callable[[TestCase, int, bool], BehaviorToken]:
+    """Compile ``program`` once; the result runs it on one test."""
+    body = _compile_block(program.statements)
+
+    def run(test: TestCase, budget: int, tracing: bool) -> BehaviorToken:
+        env = dict(test.inputs)
+        steps = iter(range(budget))  # one item per step
+        trace: _Trace = [] if tracing else None
+        output, status = "", STATUS_NORMAL
         try:
-            if isinstance(stmt, Assign):
-                self.env[stmt.name] = _eval(stmt.value, self.env)
-                self.record(stmt.sid)
-            elif isinstance(stmt, Return):
-                value = _eval(stmt.value, self.env)
-                self.record(stmt.sid, f"-> {value}")
-                raise _Return(value)
-            elif isinstance(stmt, If):
-                taken = _truthy(_eval(stmt.cond, self.env))
-                self.record(stmt.sid)
-                self.exec_block(stmt.then_body if taken else stmt.else_body)
-            elif isinstance(stmt, While):
-                while True:
-                    live = _truthy(_eval(stmt.cond, self.env))
-                    self.record(stmt.sid)
-                    if not live:
-                        break
-                    self.exec_block(stmt.body)
-                    self.tick()  # each further condition check costs a step
-            else:
-                raise TypeError(f"cannot execute {type(stmt).__name__}")
+            for stmt in body:
+                stmt(env, steps, trace)
+        except _Return as ret:
+            output = ret.text
         except _Halt as halt:
-            if self.tracing and not halt.recorded:
-                self.trace.append((stmt.sid, f"! {halt.kind}"))
-            halt.recorded = True
-            raise
+            output, status = halt.kind, STATUS_ERROR
+            if trace is not None:
+                trace.append((halt.sid, f"! {halt.kind}"))
+        except StopIteration:
+            status = STATUS_TIMEOUT
+        return BehaviorToken(output, status, None if trace is None else tuple(trace))
+
+    return run
 
 
 def execute(
@@ -194,20 +267,7 @@ def execute(
     statement when tracing is on, with return values and error kinds
     embedded so internal differences subsume output differences.
     """
-    run = _Run(dict(test.inputs), budget, tracing)
-    output = ""
-    status = STATUS_NORMAL
-    try:
-        run.exec_block(program.statements)
-    except _Return as ret:
-        output = str(ret.value)
-    except _Halt as halt:
-        output = halt.kind
-        status = STATUS_ERROR
-    except _Timeout:
-        status = STATUS_TIMEOUT
-    trace = tuple(run.trace) if tracing else None
-    return BehaviorToken(output, status, trace)
+    return _compile(program)(test, budget, tracing)
 
 
 def behavior_matrix(
@@ -228,12 +288,15 @@ def behavior_matrix(
     """
     tv = TestVector(tuple(t.id for t in tests))
     entries = [ProgramEntry(original_id, ROLE_ORIGINAL)]
-    cells: dict[str, dict[str, BehaviorToken]] = {
-        original_id: {t.id: execute(original, t, budget, tracing) for t in tests}
-    }
+
+    def row(program: Program) -> dict[str, BehaviorToken]:
+        run = _compile(program)  # once per row, then run on every test
+        return {t.id: run(t, budget, tracing) for t in tests}
+
+    cells: dict[str, dict[str, BehaviorToken]] = {original_id: row(original)}
     for desc, prog in mutants:
         entries.append(ProgramEntry(desc.id, ROLE_MUTANT, origin=original_id))
-        cells[desc.id] = {t.id: execute(prog, t, budget, tracing) for t in tests}
+        cells[desc.id] = row(prog)
     if expected is not None:
         missing = [t.id for t in tests if t.id not in expected]
         if missing:

@@ -12,6 +12,12 @@ Grammar:
                  '||'  '&&'  '< <= > >= == !='  '+ -'  '* / %'  '! -'(unary)
     primary   := INT | IDENT | '(' expr ')'
 
+Nesting is limited: blocks, parentheses, unary operators and the binary
+operators of one chain count together, and a program that nests deeper
+than ``_MAX_NESTING`` (100) levels raises ``ParseError`` at the token where
+the limit is crossed.  So every accepted program can be parsed, rendered,
+mutated and executed without reaching Python's recursion limit.
+
 Statements get stable preorder ids starting at 1; mutants keep the ids of
 the statements they reuse.
 """
@@ -29,6 +35,24 @@ LOGIC_OPS = ("&&", "||")
 
 _TWO_CHAR = ("<=", ">=", "==", "!=", "&&", "||")
 _ONE_CHAR = "=;(){}<>+-*/%!"
+
+# binary operators, loosest first; all associate to the left
+_PRECEDENCE = {
+    "||": 1,
+    "&&": 2,
+    "<": 3, "<=": 3, ">": 3, ">=": 3, "==": 3, "!=": 3,
+    "+": 4, "-": 4,
+    "*": 5, "/": 5, "%": 5,
+}
+_UNARY_PRECEDENCE = 6
+
+# Deepest nesting ``parse`` accepts: open blocks, parentheses, unary
+# operators and binary operators in one chain (``1 + 1 + 1`` nests two)
+# count together.  Parsing, rendering, mutating and executing recurse about
+# once per level (parentheses cost ``parse`` three frames, blocks cost the
+# others two), so an accepted program needs at most ~310 frames beyond its
+# caller's, well inside Python's default recursion limit of 1,000.
+_MAX_NESTING = 100
 
 
 # --- AST ---------------------------------------------------------------------
@@ -181,6 +205,13 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.next_sid = 1
+        self.depth = 0  # open blocks, parentheses, unary operators, chain operators
+
+    def nest(self, tok: Token) -> None:
+        """Enter one nesting level at ``tok``; the caller leaves it."""
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise ParseError(f"nesting deeper than {_MAX_NESTING} levels", tok.line, tok.col)
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -244,35 +275,36 @@ class _Parser:
         raise self.fail(f"expected a statement, found {got!r}")
 
     def parse_block(self) -> tuple[Stmt, ...]:
-        self.expect("{")
+        self.nest(self.expect("{"))
         statements = []
         while self.peek().text != "}":
             if self.peek().kind == "eof":
                 raise self.fail("unbalanced brace: expected '}'")
             statements.append(self.parse_statement())
         self.expect("}")
+        self.depth -= 1
         return tuple(statements)
 
-    def parse_expr(self) -> Expr:
-        return self.parse_binary(0)
-
-    _LEVELS = (("||",), ("&&",), REL_OPS, ("+", "-"), ("*", "/", "%"))
-
-    def parse_binary(self, level: int) -> Expr:
-        if level == len(self._LEVELS):
-            return self.parse_unary()
-        node = self.parse_binary(level + 1)
-        while self.peek().kind == "op" and self.peek().text in self._LEVELS[level]:
-            op = self.advance().text
-            right = self.parse_binary(level + 1)
-            node = BinOp(op, node, right)
+    def parse_expr(self, min_prec: int = 1) -> Expr:
+        """Precedence climbing: operators of one level associate to the left."""
+        node = self.parse_unary()
+        chain = 0
+        while (tok := self.peek()).kind == "op" and _PRECEDENCE.get(tok.text, 0) >= min_prec:
+            self.advance()
+            self.nest(tok)
+            chain += 1
+            node = BinOp(tok.text, node, self.parse_expr(_PRECEDENCE[tok.text] + 1))
+        self.depth -= chain
         return node
 
     def parse_unary(self) -> Expr:
         tok = self.peek()
         if tok.kind == "op" and tok.text in ("!", "-"):
             self.advance()
-            return UnaryOp(tok.text, self.parse_unary())
+            self.nest(tok)
+            node = UnaryOp(tok.text, self.parse_unary())
+            self.depth -= 1
+            return node
         return self.parse_primary()
 
     def parse_primary(self) -> Expr:
@@ -285,8 +317,10 @@ class _Parser:
             return Var(tok.text)
         if tok.kind == "op" and tok.text == "(":
             self.advance()
+            self.nest(tok)
             node = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return node
         got = tok.text if tok.kind != "eof" else "end of input"
         raise self.fail(f"expected an expression, found {got!r}")
@@ -298,15 +332,6 @@ def parse(source: str) -> Program:
 
 
 # --- Renderer ----------------------------------------------------------------
-
-_PRECEDENCE = {
-    "||": 1,
-    "&&": 2,
-    "<": 3, "<=": 3, ">": 3, ">=": 3, "==": 3, "!=": 3,
-    "+": 4, "-": 4,
-    "*": 5, "/": 5, "%": 5,
-}
-_UNARY_PRECEDENCE = 6
 
 
 def render_expr(expr: Expr) -> str:

@@ -263,6 +263,23 @@ def test_unknown_policy_rejected_before_reading_files(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize(
+    "command",
+    [["analyze", "dvector", "{matrix}", "--left", "ps", "--right", "m"],
+     ["mbfl", "--matrix", "{matrix}"]],
+    ids=["dvector", "mbfl"],
+)
+@pytest.mark.parametrize("epsilon", ["-1", "nan"])
+def test_invalid_epsilon_is_a_usage_error(runner, tmp_path, command, epsilon):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(matrix_to_json_text(three_program_matrix()))
+    args = [a.format(matrix=matrix) for a in command]
+    result = runner.invoke(main, args + ["--policy", "numeric", "--epsilon", epsilon])
+    assert result.exit_code == 2
+    assert "nonnegative" in result.stderr
+    assert "Traceback" not in result.output
+
+
 # --- mbfl -------------------------------------------------------------------------
 
 

@@ -1,3 +1,6 @@
+import inspect
+import sys
+
 import pytest
 
 from mutspace import Differentiator, ParseError, matrix_to_json_text
@@ -10,6 +13,7 @@ from mutspace.lang import (
     render,
 )
 from mutspace import kill_matrix
+from mutspace.lang.syntax import _MAX_NESTING
 from mutspace.space import ProgramSpace
 from helpers import MAX_SRC, SCRATCH_SRC, TWENTY_SRC
 
@@ -73,6 +77,72 @@ def test_render_preserves_mutated_tree_shape():
         (Return(1, BinOp("*", IntLit(2), BinOp("*", IntLit(3), IntLit(4)))),)
     )
     assert render(tree) == "return 2 * (3 * 4);\n"
+
+
+def nested(construct, depth):
+    """(source nesting ``construct`` ``depth`` levels deep, its opening token)."""
+    if construct == "parens":
+        return "return " + "(" * depth + "1" + ")" * depth + ";", "("
+    if construct == "unary":
+        return "return " + "-" * depth + "1;", "-"
+    if construct == "chain":
+        return "return " + " + ".join(["1"] * (depth + 1)) + ";", "+"
+    return "if (1) {" * depth + "return 7;" + "}" * depth, "{"
+
+
+CONSTRUCTS = ["parens", "unary", "chain", "blocks"]
+
+
+@pytest.mark.parametrize("construct", CONSTRUCTS)
+def test_nesting_past_the_limit_is_a_parse_error(construct):
+    source, opener = nested(construct, 3_000)
+    crossing = -1  # offset of the opener that starts level _MAX_NESTING + 1
+    for _ in range(_MAX_NESTING + 1):
+        crossing = source.index(opener, crossing + 1)
+    with pytest.raises(ParseError, match="nesting") as err:
+        parse(source)
+    assert (err.value.line, err.value.col) == (1, crossing + 1)
+
+
+def mixed(extra_parens=0):
+    """Blocks, parentheses, a chain and unary operators, a quarter of the
+    limit each, all open at the last ``1``; it returns 25 - 1."""
+    q = _MAX_NESTING // 4
+    chain = " + ".join(["1"] * q + ["-" * q + "1"])
+    parens = q + extra_parens
+    return (
+        "n = 1;\n" + "while (n) {" * q
+        + "n = 0; x = " + "(" * parens + chain + ")" * parens + ";"
+        + "}" * q + "\nreturn x;"
+    )
+
+
+@pytest.mark.parametrize(
+    "source, output",
+    [(nested(c, _MAX_NESTING)[0], out) for c, out in zip(CONSTRUCTS, ["1", "1", "101", "7"])]
+    + [(mixed(), "24")],
+    ids=CONSTRUCTS + ["mixed"],
+)
+def test_nesting_at_the_limit_parses_renders_mutates_and_executes(source, output):
+    assert _MAX_NESTING == 100  # the expected outputs are worked out for 100
+    # every step recurses at most ~3 frames per level: check that it fits
+    # in 4 per level above this test's own stack
+    saved = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack(0)) + 4 * _MAX_NESTING)
+    try:
+        program = parse(source)
+        text = render(program)
+        assert render(parse(text)) == text
+        assert mutate_all(program)
+        tok = execute(program, TestCase("t", {}))
+    finally:
+        sys.setrecursionlimit(saved)
+    assert (tok.status, tok.output) == ("normal", output)
+
+
+def test_mixed_nesting_counts_together():
+    with pytest.raises(ParseError, match="nesting"):
+        parse(mixed(extra_parens=1))
 
 
 # --- execution --------------------------------------------------------------------
@@ -183,6 +253,45 @@ def test_step_budget_is_exact(source, steps, output, tracing):
     assert (done.status, done.output) == ("normal", output)
     cut = run_src(source, budget=steps - 1, tracing=tracing)
     assert (cut.status, cut.output) == ("timeout", "")
+
+
+needs_int_text_limit = pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python converts ints of any size to text",
+)
+
+# 200 rounds of 40 digits: x ends with 8,001 digits, past the 4,300 that
+# Python converts to text by default
+HUGE_SRC = "x = 1; i = 0; while (i < 200) { x = x * 1" + "0" * 40 + "; i = i + 1; } return x;"
+
+
+@needs_int_text_limit
+@pytest.mark.parametrize("tracing", [False, True])
+def test_returning_a_huge_integer_is_an_error_token(tracing):
+    tok = run_src(HUGE_SRC, tracing=tracing)
+    assert (tok.status, tok.output) == ("error", "integer too large")
+    if tracing:
+        assert tok.trace[-1] == (6, "! integer too large")
+        assert tok.trace[-2] == (3, "i=200 x=<integer too large>")
+
+
+@needs_int_text_limit
+def test_huge_integers_never_change_output_or_status_under_tracing():
+    # 40 digits per round: 107 rounds still print (4,281 digits), 108 do not
+    program = parse(
+        "x = 1; i = 0; while (i < k) { x = x * 1" + "0" * 40 + "; i = i + 1; } return x;"
+    )
+    mutants = mutate_all(program, ("ROR",))  # loop bounds k - 1 .. k + 1
+    tests = [TestCase(f"k{k}", {"k": k}) for k in (107, 108)]
+    plain = behavior_matrix(program, mutants, tests)
+    traced = behavior_matrix(program, mutants, tests, tracing=True)
+    assert plain.token("original", "k108").output == "integer too large"
+    for m in traced.program_ids():
+        for t in traced.tests:
+            tok, untraced = traced.token(m, t), plain.token(m, t)
+            assert (tok.output, tok.status) == (untraced.output, untraced.status)
+            weak = WEAK.bit(traced.token("original", t), tok)
+            assert weak >= STRONG.bit(traced.token("original", t), tok)
 
 
 def test_timeout_comes_before_a_halt_on_the_next_step():
