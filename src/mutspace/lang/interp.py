@@ -8,8 +8,7 @@ call that made it: nothing is cached across calls or shared between rows.
 
 Steps: a step is taken on entry to each statement and again before each
 further ``while`` check.  A run that needs exactly B steps returns normally
-at budget B and times out at budget B - 1, on the same step as any other
-run of the same program.
+at budget B and times out at budget B - 1.
 
 Every abnormal outcome (division by zero, unbound variable, exhausted step
 budget, a returned integer too large to print) is encoded in the returned
