@@ -1,14 +1,45 @@
 """Compile-once interpreter producing behavior tokens.
 
-Each program is compiled once into nested Python closures, one per
-expression node and one per statement; ``behavior_matrix`` compiles every
-row (the original and each mutant) once and runs that code on every test,
-and ``execute`` compiles and then runs.  Compiled code is private to the
-call that made it: nothing is cached across calls or shared between rows.
+Each program is compiled once into Python: the generator emits Python
+source text for ``(program, tracing)`` from the AST alone, runs it through
+``compile()`` once and binds it with ``exec`` into one function.
+``behavior_matrix`` compiles every row (the original and each mutant) once
+and runs that function on every test, and ``execute`` compiles and then
+runs.  Compiled code is private to the call that made it: nothing is
+cached across calls or shared between rows.
 
-Steps: a step is taken on entry to each statement and again before each
-further ``while`` check.  A run that needs exactly B steps returns normally
-at budget B and times out at budget B - 1.
+Generated code:
+
+- Variables stay keys of the ``env`` dict, written ``env['x']``, so a toy
+  name never becomes a Python identifier and cannot clash with a Python
+  keyword, builtin or the generator's own locals (``None``, ``def``,
+  ``env``, ``sid``, ``é`` and ``x²`` are all legal toy names).  Names and
+  literals of up to 64 bits go into the text through ``repr``; a larger
+  literal is bound in the ``exec`` namespace, because ``repr`` of an int
+  past Python's int-string limit raises.
+- Steps: the function holds a local counter that starts at the budget.  A
+  step is taken on entry to each statement and again before each further
+  ``while`` check, by one line that decrements the counter or, when it is
+  0, raises the timeout.  A run that needs exactly B steps returns normally
+  at budget B and times out at budget B - 1.
+- Every expression node is parenthesised exactly once, so evaluation runs
+  left to right and ``3 < 2 < 1`` never becomes a Python chained
+  comparison.  Conditions are emitted for their truth only; a comparison,
+  ``&&``, ``||`` or ``!`` used as a value gives 0 or 1.
+- Halts: ``/`` and ``%`` go through helpers that take the statement id.  A
+  read of an unbound name raises ``KeyError``, which each generated
+  function turns into a halt naming its local ``sid``, set before each
+  statement and before each ``while`` check.
+- Only the traced variant records trace entries; the untraced code tests
+  nothing per statement.
+- CPython's compiler allows 20 statically nested blocks (a ``while`` or a
+  ``try`` is one), 100 indentation levels and 200 nested brackets, while
+  the toy language allows 100 nested blocks.  So a compound statement
+  nested ``_HOIST_DEPTH`` (8) levels deep inside a generated function moves
+  into a generated function of its own, which takes and returns the step
+  counter; no function then holds more than 9 blocks or 10 indentation
+  levels.  An expression nests at most 100 levels and costs one bracket
+  per level.
 
 Every abnormal outcome (division by zero, unbound variable, exhausted step
 budget, a returned integer too large to print) is encoded in the returned
@@ -29,7 +60,7 @@ changes a token's output or status.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Optional, Sequence
 
 from ..behavior import (
     ROLE_MUTANT,
@@ -48,12 +79,11 @@ from .syntax import Assign, BinOp, Expr, If, IntLit, Program, Return, Stmt, Unar
 DEFAULT_BUDGET = 100_000
 _TOO_LARGE = "integer too large"
 
+# compound statements this deep in a generated function get one of their own
+_HOIST_DEPTH = 8
+
 _Env = dict[str, int]
 _Trace = Optional[list[tuple[int, str]]]
-_ExprCode = Callable[[_Env], int]
-# (env, steps, trace): ``next(steps)`` takes one step and raises
-# StopIteration once the budget is spent; ``trace`` is None when off
-_StmtCode = Callable[[_Env, Iterator[int], _Trace], None]
 
 
 @dataclass(frozen=True)
@@ -82,6 +112,10 @@ class _Return(Exception):
         self.text = text
 
 
+class _Timeout(Exception):
+    pass
+
+
 def _trunc_div(a: int, b: int) -> int:
     q = abs(a) // abs(b)
     return q if (a >= 0) == (b >= 0) else -q
@@ -101,152 +135,180 @@ def _store_text(env: _Env) -> str:
         return " ".join([f"{k}={_value_text(v)}" for k, v in sorted(env.items())])
 
 
-# Values are ints, so Python truthiness is the language's ``!= 0``.
-_BINARY: dict[str, Callable[[_ExprCode, _ExprCode], _ExprCode]] = {
-    "+": lambda a, b: lambda env: a(env) + b(env),
-    "-": lambda a, b: lambda env: a(env) - b(env),
-    "*": lambda a, b: lambda env: a(env) * b(env),
-    "<": lambda a, b: lambda env: 1 if a(env) < b(env) else 0,
-    "<=": lambda a, b: lambda env: 1 if a(env) <= b(env) else 0,
-    ">": lambda a, b: lambda env: 1 if a(env) > b(env) else 0,
-    ">=": lambda a, b: lambda env: 1 if a(env) >= b(env) else 0,
-    "==": lambda a, b: lambda env: 1 if a(env) == b(env) else 0,
-    "!=": lambda a, b: lambda env: 1 if a(env) != b(env) else 0,
-    "&&": lambda a, b: lambda env: 1 if a(env) and b(env) else 0,
-    "||": lambda a, b: lambda env: 1 if a(env) or b(env) else 0,
+# --- run-time helpers the generated code calls -----------------------------------
+
+
+def _div(a: int, b: int, sid: int) -> int:
+    if b == 0:
+        raise _Halt("division by zero", sid)
+    return _trunc_div(a, b)
+
+
+def _mod(a: int, b: int, sid: int) -> int:
+    if b == 0:
+        raise _Halt("modulo by zero", sid)
+    return a - _trunc_div(a, b) * b
+
+
+def _timeout() -> int:
+    raise _Timeout
+
+
+def _traced(taken: int, sid: int, env: _Env, trace: list) -> int:
+    trace.append((sid, _store_text(env)))
+    return taken
+
+
+def _return(value: int, sid: int, env: _Env, trace: _Trace) -> None:
+    try:
+        text = str(value)
+    except ValueError:
+        raise _Halt(_TOO_LARGE, sid) from None
+    if trace is not None:
+        store = _store_text(env)
+        trace.append((sid, f"{store} -> {text}" if store else f"-> {text}"))
+    raise _Return(text)
+
+
+_RUNTIME = {
+    "_Halt": _Halt,
+    "_div": _div,
+    "_mod": _mod,
+    "_timeout": _timeout,
+    "_traced": _traced,
+    "_return": _return,
+    "_store_text": _store_text,
 }
 
+# --- code generation --------------------------------------------------------------
 
-def _compile_expr(expr: Expr, sid: int) -> _ExprCode:
-    """Code for ``expr``; halts name ``sid``, the statement evaluating it."""
-    if isinstance(expr, IntLit):
-        value = expr.value
-        return lambda env: value
-    if isinstance(expr, Var):
-        name = expr.name
-
-        def var(env: _Env) -> int:
-            try:
-                return env[name]
-            except KeyError:
-                raise _Halt(f"unbound variable: {name}", sid) from None
-
-        return var
-    if isinstance(expr, UnaryOp):
-        operand = _compile_expr(expr.operand, sid)
-        if expr.op == "-":
-            return lambda env: -operand(env)
-        return lambda env: 0 if operand(env) else 1
-    if isinstance(expr, BinOp):
-        left = _compile_expr(expr.left, sid)
-        right = _compile_expr(expr.right, sid)
-        if expr.op == "/":
-
-            def div(env: _Env) -> int:
-                a, b = left(env), right(env)
-                if b == 0:
-                    raise _Halt("division by zero", sid)
-                return _trunc_div(a, b)
-
-            return div
-        if expr.op == "%":
-
-            def mod(env: _Env) -> int:
-                a, b = left(env), right(env)
-                if b == 0:
-                    raise _Halt("modulo by zero", sid)
-                return a - _trunc_div(a, b) * b
-
-            return mod
-        return _BINARY[expr.op](left, right)
-    raise TypeError(f"cannot compile {type(expr).__name__}")
+_ARITH = {"+", "-", "*"}
+_COMPARE = {"<", "<=", ">", ">=", "==", "!="}
+_LOGIC = {"&&": "and", "||": "or"}
+_HALTING = {"/": "_div", "%": "_mod"}  # helpers that halt on a zero divisor
 
 
-def _compile_block(stmts: Sequence[Stmt]) -> tuple[_StmtCode, ...]:
-    return tuple(map(_compile_stmt, stmts))
+class _Source:
+    """Python source for one program: ``_run`` and the hoisted functions.
+
+    Every generated function is ``def f(env, n, trace)``: ``n`` is the
+    steps left, and ``trace`` the trace list or None.  Functions end by
+    returning ``n``; a return, halt or timeout raises.
+    """
+
+    def __init__(self, tracing: bool):
+        self.tracing = tracing
+        self.functions: list[str] = []  # finished functions, innermost first
+        self.hoisted = 0
+        self.consts: dict[str, int] = {}  # namespace names of large literals
+
+    def function(self, name: str, stmts: Sequence[Stmt]) -> None:
+        lines = [f"def {name}(env, n, trace):", " try:"]
+        self.block(stmts, 2, 0, lines)
+        lines += [
+            " except KeyError as e:",
+            "  raise _Halt('unbound variable: ' + e.args[0], sid) from None",
+            " return n",
+        ]
+        self.functions.append("\n".join(lines))
+
+    def block(self, stmts: Sequence[Stmt], indent: int, depth: int, out: list[str]) -> None:
+        if not stmts:
+            out.append(" " * indent + "pass")
+        for stmt in stmts:
+            self.stmt(stmt, indent, depth, out)
+
+    def stmt(self, stmt: Stmt, indent: int, depth: int, out: list[str]) -> None:
+        pad = " " * indent
+        if depth >= _HOIST_DEPTH and isinstance(stmt, (If, While)):
+            name = f"_f{self.hoisted}"
+            self.hoisted += 1
+            self.function(name, (stmt,))
+            out.append(f"{pad}n = {name}(env, n, trace)")
+            return
+        sid = stmt.sid
+        step = f"n = n - 1 if n else _timeout(); sid = {sid}"
+        out.append(pad + step)
+        if isinstance(stmt, Assign):
+            out.append(f"{pad}env[{stmt.name!r}] = {self.value(stmt.value, sid)}")
+            if self.tracing:
+                out.append(f"{pad}trace.append(({sid}, _store_text(env)))")
+        elif isinstance(stmt, Return):
+            out.append(f"{pad}_return({self.value(stmt.value, sid)}, {sid}, env, trace)")
+        elif isinstance(stmt, If):
+            out.append(f"{pad}if {self.cond(stmt.cond, sid)}:")
+            self.block(stmt.then_body, indent + 1, depth + 1, out)
+            if stmt.else_body:
+                out.append(f"{pad}else:")
+                self.block(stmt.else_body, indent + 1, depth + 1, out)
+        elif isinstance(stmt, While):
+            out.append(f"{pad}while {self.cond(stmt.cond, sid)}:")
+            self.block(stmt.body, indent + 1, depth + 1, out)
+            out.append(f"{pad} {step}")  # each further check costs a step
+        else:
+            raise TypeError(f"cannot compile {type(stmt).__name__}")
+
+    def cond(self, expr: Expr, sid: int) -> str:
+        """An if/while condition, recorded in the trace when tracing."""
+        test = self.test(expr, sid)
+        return f"_traced({test}, {sid}, env, trace)" if self.tracing else test
+
+    def test(self, expr: Expr, sid: int) -> str:
+        """Code whose truth is that of ``expr``."""
+        if isinstance(expr, BinOp) and expr.op in _COMPARE:
+            return f"({self.value(expr.left, sid)} {expr.op} {self.value(expr.right, sid)})"
+        if isinstance(expr, BinOp) and expr.op in _LOGIC:
+            op = _LOGIC[expr.op]
+            return f"({self.test(expr.left, sid)} {op} {self.test(expr.right, sid)})"
+        if isinstance(expr, UnaryOp) and expr.op == "!":
+            return f"(not {self.test(expr.operand, sid)})"
+        return self.value(expr, sid)
+
+    def value(self, expr: Expr, sid: int) -> str:
+        """Code for the int value of ``expr``; halts name ``sid``."""
+        if isinstance(expr, IntLit):
+            if expr.value.bit_length() <= 64:
+                return repr(expr.value)
+            name = f"_k{len(self.consts)}"
+            self.consts[name] = expr.value
+            return name
+        if isinstance(expr, Var):
+            return f"env[{expr.name!r}]"
+        if isinstance(expr, UnaryOp):
+            if expr.op == "-":
+                return f"(-{self.value(expr.operand, sid)})"
+            return f"(0 if {self.test(expr.operand, sid)} else 1)"
+        if isinstance(expr, BinOp):
+            if expr.op in _ARITH:
+                return f"({self.value(expr.left, sid)} {expr.op} {self.value(expr.right, sid)})"
+            if expr.op in _HALTING:
+                left, right = self.value(expr.left, sid), self.value(expr.right, sid)
+                return f"{_HALTING[expr.op]}({left}, {right}, {sid})"
+            return f"(1 if {self.test(expr, sid)} else 0)"
+        raise TypeError(f"cannot compile {type(expr).__name__}")
 
 
-def _compile_stmt(stmt: Stmt) -> _StmtCode:
-    sid = stmt.sid
-    if isinstance(stmt, Assign):
-        name, value = stmt.name, _compile_expr(stmt.value, sid)
-
-        def assign(env: _Env, steps: Iterator[int], trace: _Trace) -> None:
-            next(steps)
-            env[name] = value(env)
-            if trace is not None:
-                trace.append((sid, _store_text(env)))
-
-        return assign
-    if isinstance(stmt, Return):
-        value = _compile_expr(stmt.value, sid)
-
-        def return_(env: _Env, steps: Iterator[int], trace: _Trace) -> None:
-            next(steps)
-            result = value(env)
-            try:
-                text = str(result)
-            except ValueError:
-                raise _Halt(_TOO_LARGE, sid) from None
-            if trace is not None:
-                store = _store_text(env)
-                trace.append((sid, f"{store} -> {text}" if store else f"-> {text}"))
-            raise _Return(text)
-
-        return return_
-    if isinstance(stmt, If):
-        cond = _compile_expr(stmt.cond, sid)
-        then_body = _compile_block(stmt.then_body)
-        else_body = _compile_block(stmt.else_body)
-
-        def if_(env: _Env, steps: Iterator[int], trace: _Trace) -> None:
-            next(steps)
-            taken = cond(env)
-            if trace is not None:
-                trace.append((sid, _store_text(env)))
-            for s in then_body if taken else else_body:
-                s(env, steps, trace)
-
-        return if_
-    if isinstance(stmt, While):
-        cond = _compile_expr(stmt.cond, sid)
-        body = _compile_block(stmt.body)
-
-        def while_(env: _Env, steps: Iterator[int], trace: _Trace) -> None:
-            next(steps)
-            while True:
-                live = cond(env)
-                if trace is not None:
-                    trace.append((sid, _store_text(env)))
-                if not live:
-                    return
-                for s in body:
-                    s(env, steps, trace)
-                next(steps)  # each further condition check costs a step
-
-        return while_
-    raise TypeError(f"cannot compile {type(stmt).__name__}")
-
-
-def _compile(program: Program) -> Callable[[TestCase, int, bool], BehaviorToken]:
+def _compile(program: Program, tracing: bool) -> Callable[[TestCase, int], BehaviorToken]:
     """Compile ``program`` once; the result runs it on one test."""
-    body = _compile_block(program.statements)
+    source = _Source(tracing)
+    source.function("_run", program.statements)
+    namespace = dict(_RUNTIME, **source.consts)
+    exec(compile("\n".join(source.functions), "<mutspace program>", "exec"), namespace)
+    code = namespace["_run"]
 
-    def run(test: TestCase, budget: int, tracing: bool) -> BehaviorToken:
+    def run(test: TestCase, budget: int) -> BehaviorToken:
         env = dict(test.inputs)
-        steps = iter(range(budget))  # one item per step
         trace: _Trace = [] if tracing else None
         output, status = "", STATUS_NORMAL
         try:
-            for stmt in body:
-                stmt(env, steps, trace)
+            code(env, max(budget, 0), trace)  # a negative budget acts as 0
         except _Return as ret:
             output = ret.text
         except _Halt as halt:
             output, status = halt.kind, STATUS_ERROR
             if trace is not None:
                 trace.append((halt.sid, f"! {halt.kind}"))
-        except StopIteration:
+        except _Timeout:
             status = STATUS_TIMEOUT
         return BehaviorToken(output, status, None if trace is None else tuple(trace))
 
@@ -266,7 +328,7 @@ def execute(
     statement when tracing is on, with return values and error kinds
     embedded so internal differences subsume output differences.
     """
-    return _compile(program)(test, budget, tracing)
+    return _compile(program, tracing)(test, budget)
 
 
 def behavior_matrix(
@@ -289,8 +351,8 @@ def behavior_matrix(
     entries = [ProgramEntry(original_id, ROLE_ORIGINAL)]
 
     def row(program: Program) -> dict[str, BehaviorToken]:
-        run = _compile(program)  # once per row, then run on every test
-        return {t.id: run(t, budget, tracing) for t in tests}
+        run = _compile(program, tracing)  # once per row, then run on every test
+        return {t.id: run(t, budget) for t in tests}
 
     cells: dict[str, dict[str, BehaviorToken]] = {original_id: row(original)}
     for desc, prog in mutants:

@@ -12,6 +12,12 @@ Grammar:
                  '||'  '&&'  '< <= > >= == !='  '+ -'  '* / %'  '! -'(unary)
     primary   := INT | IDENT | '(' expr ')'
 
+INT is a run of decimal digits (``str.isdecimal``, the digits ``int()``
+reads); a literal longer than Python's int-string limit (4,300 digits by
+default) raises ``ParseError``.  IDENT starts with a letter or ``_`` and
+goes on with letters, digits and ``_``, so toy names such as ``None``,
+``def`` or ``x²`` need not be Python identifiers.
+
 Nesting is limited: blocks, parentheses, unary operators and the binary
 operators of one chain count together, and a program that nests deeper
 than ``_MAX_NESTING`` (100) levels raises ``ParseError`` at the token where
@@ -169,9 +175,9 @@ def tokenize(source: str) -> list[Token]:
             i += 2
             col += 2
             continue
-        if ch.isdigit():
+        if ch.isdecimal():  # exactly the digits int() reads
             j = i
-            while j < n and source[j].isdigit():
+            while j < n and source[j].isdecimal():
                 j += 1
             tokens.append(Token("int", source[i:j], line, col))
             col += j - i
@@ -311,7 +317,10 @@ class _Parser:
         tok = self.peek()
         if tok.kind == "int":
             self.advance()
-            return IntLit(int(tok.text))
+            try:
+                return IntLit(int(tok.text))
+            except ValueError:  # past Python's int-string limit
+                raise ParseError("integer literal too long", tok.line, tok.col) from None
         if tok.kind == "ident":
             self.advance()
             return Var(tok.text)

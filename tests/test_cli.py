@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from click.testing import CliRunner
@@ -157,6 +158,29 @@ def test_run_rejects_bad_tests_file(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "/0/inputs" in result.stderr
+
+
+@pytest.mark.parametrize(
+    "literal, message",
+    [
+        ("1\u00b2", "unexpected character"),
+        pytest.param(
+            "1" * 5_000,
+            "integer literal too long",
+            marks=pytest.mark.skipif(
+                not hasattr(sys, "get_int_max_str_digits"),
+                reason="this Python reads int literals of any length",
+            ),
+        ),
+    ],
+    ids=["superscript", "too_long"],
+)
+def test_run_rejects_literals_int_cannot_read(runner, tmp_path, literal, message):
+    program, tests, _ = write_faulty_inputs(tmp_path)
+    program.write_text(f"x = {literal};\nreturn x;\n", encoding="utf-8")
+    result = runner.invoke(main, ["run", "--program", str(program), "--tests", str(tests)])
+    assert result.exit_code == 2
+    assert message in result.stderr
 
 
 # --- analyze ---------------------------------------------------------------------

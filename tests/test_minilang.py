@@ -145,6 +145,33 @@ def test_mixed_nesting_counts_together():
         parse(mixed(extra_parens=1))
 
 
+@pytest.mark.parametrize(
+    "source, char, col",
+    [("x = \u00b2;", "\u00b2", 5), ("x = 1\u00b2;", "\u00b2", 6), ("x = 3\u2155;", "\u2155", 6)],
+    ids=["superscript", "after_a_digit", "fraction"],
+)
+def test_digits_int_cannot_read_are_unexpected_characters(source, char, col):
+    # superscripts and vulgar fractions are digits to str.isdigit, not to int()
+    with pytest.raises(ParseError, match="unexpected character") as err:
+        parse(source)
+    assert char in str(err.value)
+    assert (err.value.line, err.value.col) == (1, col)
+
+
+def test_decimal_digits_of_any_script_are_literals():
+    assert parse("x = \u0663\u0661;") == parse("x = 31;")  # Arabic-Indic 3, 1
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python reads int literals of any length",
+)
+def test_literal_past_the_int_string_limit_is_a_parse_error():
+    with pytest.raises(ParseError, match="integer literal too long") as err:
+        parse("x = 0;\ny = " + "1" * 5_000 + ";")
+    assert (err.value.line, err.value.col) == (2, 5)
+
+
 # --- execution --------------------------------------------------------------------
 
 
