@@ -38,8 +38,11 @@ Generated code:
   nested ``_HOIST_DEPTH`` (8) levels deep inside a generated function moves
   into a generated function of its own, which takes and returns the step
   counter; no function then holds more than 9 blocks or 10 indentation
-  levels.  An expression nests at most 100 levels and costs one bracket
-  per level.
+  levels.  An expression nests at most 100 levels and costs at most one
+  bracket per level: a comparison or ``&&``/``||`` used as a value is
+  ``(1 if L < R else 0)`` around operands that bring their own brackets.
+  With the ``_return(...)`` or ``_traced(...)`` call around it, a line
+  nests at most 101 brackets.
 
 Every abnormal outcome (division by zero, unbound variable, exhausted step
 budget, a returned integer too large to print) is encoded in the returned
@@ -254,15 +257,20 @@ class _Source:
         return f"_traced({test}, {sid}, env, trace)" if self.tracing else test
 
     def test(self, expr: Expr, sid: int) -> str:
-        """Code whose truth is that of ``expr``."""
-        if isinstance(expr, BinOp) and expr.op in _COMPARE:
-            return f"({self.value(expr.left, sid)} {expr.op} {self.value(expr.right, sid)})"
-        if isinstance(expr, BinOp) and expr.op in _LOGIC:
-            op = _LOGIC[expr.op]
-            return f"({self.test(expr.left, sid)} {op} {self.test(expr.right, sid)})"
+        """Code whose truth is that of ``expr``, as one bracketed term."""
+        if isinstance(expr, BinOp) and (expr.op in _COMPARE or expr.op in _LOGIC):
+            return f"({self.relation(expr, sid)})"
         if isinstance(expr, UnaryOp) and expr.op == "!":
             return f"(not {self.test(expr.operand, sid)})"
         return self.value(expr, sid)
+
+    def relation(self, expr: BinOp, sid: int) -> str:
+        """A comparison or ``&&``/``||`` with no brackets of its own: its
+        operands are bracketed terms, so Python neither chains nor regroups
+        them."""
+        if expr.op in _LOGIC:
+            return f"{self.test(expr.left, sid)} {_LOGIC[expr.op]} {self.test(expr.right, sid)}"
+        return f"{self.value(expr.left, sid)} {expr.op} {self.value(expr.right, sid)}"
 
     def value(self, expr: Expr, sid: int) -> str:
         """Code for the int value of ``expr``; halts name ``sid``."""
@@ -284,7 +292,7 @@ class _Source:
             if expr.op in _HALTING:
                 left, right = self.value(expr.left, sid), self.value(expr.right, sid)
                 return f"{_HALTING[expr.op]}({left}, {right}, {sid})"
-            return f"(1 if {self.test(expr, sid)} else 0)"
+            return f"(1 if {self.relation(expr, sid)} else 0)"
         raise TypeError(f"cannot compile {type(expr).__name__}")
 
 

@@ -2,12 +2,15 @@
 
 The interpreter generates Python code, so each case below is a way the
 generated text could go wrong: a toy name that means something to Python,
-a comparison Python would chain, a literal Python cannot print, a halt deep
-inside a hoisted function, and step counting across hoisted functions.
+a comparison Python would chain, an expression as deep as the parser
+allows, a literal Python cannot print, a halt deep inside a hoisted
+function, and step counting across hoisted functions.
 """
 import pytest
 
 from mutspace.lang import Assign, TestCase, execute, parse
+from mutspace.lang.syntax import _MAX_NESTING
+from test_minilang import STEP_BUDGET_CASES, run_src
 
 # Python keywords and builtins, names the generated code uses itself, and
 # names that are not ASCII
@@ -18,10 +21,6 @@ PYTHON_NAMES = [
 ]
 
 
-def run_src(source, budget=100_000, tracing=False, inputs=None):
-    return execute(parse(source), TestCase("t", inputs or {}), budget, tracing)
-
-
 def store(**env):
     return " ".join(f"{k}={v}" for k, v in sorted(env.items()))
 
@@ -30,7 +29,7 @@ def store(**env):
 @pytest.mark.parametrize("name", PYTHON_NAMES)
 def test_python_names_are_plain_toy_names(name, tracing):
     source = f"{name} = k + 1; while ({name} < 5) {{ {name} = {name} * 2; }} return {name};"
-    tok = run_src(source, tracing=tracing, inputs={"k": 1})
+    tok = run_src(source, tracing=tracing, k=1)
     assert (tok.status, tok.output) == ("normal", "8")
     if tracing:
         assert tok.trace == (
@@ -47,7 +46,7 @@ def test_python_names_are_plain_toy_names(name, tracing):
 @pytest.mark.parametrize("tracing", [False, True])
 @pytest.mark.parametrize("name", PYTHON_NAMES)
 def test_python_names_as_inputs_and_unbound_reads(name, tracing):
-    tok = run_src(f"return {name} + 1;", tracing=tracing, inputs={name: 5})
+    tok = run_src(f"return {name} + 1;", tracing=tracing, **{name: 5})
     assert (tok.status, tok.output) == ("normal", "6")
     tok = run_src(f"x = 1; return {name};", tracing=tracing)
     assert (tok.status, tok.output) == ("error", f"unbound variable: {name}")
@@ -62,6 +61,41 @@ def test_comparisons_do_not_chain(tracing):
     assert run_src("if (3 < 2 < 1) { return 5; } return 6;", tracing=tracing).output == "5"
     assert run_src("return 1 == 1 == 1;", tracing=tracing).output == "1"
     assert run_src("return 2 == 2 == 2;", tracing=tracing).output == "0"
+
+
+def op_chain(first, op, rest):
+    """``first`` then ``_MAX_NESTING`` times `` op rest``: as deep as
+    ``parse`` allows."""
+    return first + f" {op} {rest}" * _MAX_NESTING
+
+
+# Python allows 200 nested brackets; each of these nests _MAX_NESTING levels
+# of comparisons or &&/|| used as a value or as a condition
+AT_LIMIT = {
+    # (1 < 1) < 1 ... alternates 0, 1, 0, ...: 1 after an even count
+    "return_compare": ("return " + op_chain("1", "<", "1") + ";", {}, "1", 1),
+    "assign_compare": ("x = " + op_chain("a", "<", "a") + "; return x;", {"a": 1}, "1", 2),
+    # ... and (n < 1) < 1 is n >= 1, so this loop runs once
+    "while_compare": (
+        "n = 1; while (" + op_chain("n", "<", "1") + ") { n = n - 1; } return n;",
+        {},
+        "0",
+        5,
+    ),
+    "return_and": ("return " + op_chain("2", "&&", "3") + ";", {}, "1", 1),
+    "assign_or": ("x = " + op_chain("0", "||", "a") + "; return x;", {"a": 0}, "0", 2),
+    "if_or": ("if (" + op_chain("a", "||", "0") + ") { return 5; } return 6;", {"a": 0}, "6", 2),
+}
+
+
+@pytest.mark.parametrize("tracing", [False, True])
+@pytest.mark.parametrize("case", sorted(AT_LIMIT))
+def test_relations_at_the_nesting_limit_execute(case, tracing):
+    source, inputs, output, steps = AT_LIMIT[case]
+    tok = run_src(source, tracing=tracing, **inputs)
+    assert (tok.status, tok.output) == ("normal", output)
+    if tracing:
+        assert len(tok.trace) == steps
 
 
 @pytest.mark.parametrize("tracing", [False, True])
@@ -121,19 +155,7 @@ def test_deep_halts_name_the_halting_statement(halt, place):
     assert execute(program, test).output == HALTS[halt]
 
 
-# the programs of test_step_budget_is_exact, with the steps each needs
-BUDGET_CASES = [
-    ("i = 0; while (i < 3) { i = i + 1; } return i;", 9, "3"),
-    ("x = 1; return x;", 2, "1"),
-    ("x = 1;", 1, ""),
-    ("while (0) { } return 7;", 2, "7"),
-    ("if (1) { x = 1; } else { x = 2; } return x;", 3, "1"),
-    ("if (0) { x = 1; } return 5;", 2, "5"),
-    ("i = 0; while (i < 2) { j = 0; while (j < 2) { j = j + 1; } i = i + 1; } return i;", 19, "2"),
-]
-
-
-@pytest.mark.parametrize("source, steps, output", BUDGET_CASES)
+@pytest.mark.parametrize("source, steps, output", STEP_BUDGET_CASES)
 @pytest.mark.parametrize("tracing", [False, True])
 def test_step_budget_is_exact_ten_levels_deep(source, steps, output, tracing):
     # ten enclosing ifs cost one step each

@@ -261,19 +261,20 @@ return x;
 
 
 # A step is taken on entry to each statement and before each further while
-# check, so a run that needs exactly B steps finishes at budget B.
-@pytest.mark.parametrize(
-    "source, steps, output",
-    [
-        ("i = 0; while (i < 3) { i = i + 1; } return i;", 9, "3"),
-        ("x = 1; return x;", 2, "1"),
-        ("x = 1;", 1, ""),
-        ("while (0) { } return 7;", 2, "7"),
-        ("if (1) { x = 1; } else { x = 2; } return x;", 3, "1"),
-        ("if (0) { x = 1; } return 5;", 2, "5"),
-        ("i = 0; while (i < 2) { j = 0; while (j < 2) { j = j + 1; } i = i + 1; } return i;", 19, "2"),
-    ],
-)
+# check, so a run that needs exactly B steps finishes at budget B.  The
+# programs, with the steps each needs, are shared with test_codegen.py.
+STEP_BUDGET_CASES = [
+    ("i = 0; while (i < 3) { i = i + 1; } return i;", 9, "3"),
+    ("x = 1; return x;", 2, "1"),
+    ("x = 1;", 1, ""),
+    ("while (0) { } return 7;", 2, "7"),
+    ("if (1) { x = 1; } else { x = 2; } return x;", 3, "1"),
+    ("if (0) { x = 1; } return 5;", 2, "5"),
+    ("i = 0; while (i < 2) { j = 0; while (j < 2) { j = j + 1; } i = i + 1; } return i;", 19, "2"),
+]
+
+
+@pytest.mark.parametrize("source, steps, output", STEP_BUDGET_CASES)
 @pytest.mark.parametrize("tracing", [False, True])
 def test_step_budget_is_exact(source, steps, output, tracing):
     done = run_src(source, budget=steps, tracing=tracing)
