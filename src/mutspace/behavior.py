@@ -10,6 +10,7 @@ types.
 from __future__ import annotations
 
 import json
+from json.encoder import encode_basestring
 from dataclasses import asdict, dataclass, field
 from decimal import Decimal, InvalidOperation
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -46,7 +47,7 @@ class BehaviorToken:
         if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
         if self.trace is not None:
-            normalized = tuple((sid, text) for sid, text in self.trace)
+            normalized = tuple([(sid, text) for sid, text in self.trace])
             object.__setattr__(self, "trace", normalized)
 
 
@@ -458,30 +459,51 @@ def mutation_adequacy(
 #   "programs": [{"id": ..., "role": ...?, "origin": ...?}, ...],
 #   "cells": {pid: {tid: {"output": ..., "status": ..., "trace": [...]?}}} }
 #
-# Round-trips are bit-exact: parsing our canonical text and re-serializing
-# reproduces the bytes.
+# The canonical text is ``json.dumps(obj, indent=2, ensure_ascii=False)``
+# plus "\n", written directly: with ``indent`` set, ``json`` falls back to
+# its pure-Python encoder, which costs several times the C string quoting
+# used here.  Round-trips are bit-exact: parsing our canonical text and
+# re-serializing reproduces the bytes.
 
 
-def _token_to_obj(tok: BehaviorToken) -> dict:
-    obj: dict = {"output": tok.output, "status": tok.status}
-    if tok.trace is not None:
-        obj["trace"] = [[sid, text] for sid, text in tok.trace]
-    return obj
-
-
-def matrix_to_json_obj(bm: BehaviorMatrix) -> dict:
-    programs = [
-        {k: v for k, v in asdict(p).items() if v is not None} for p in bm.programs
-    ]
-    cells = {
-        p.id: {t: _token_to_obj(bm.token(p.id, t)) for t in bm.tests}
-        for p in bm.programs
-    }
-    return {"tests": list(bm.tests), "programs": programs, "cells": cells}
+def _block(items: list[str], indent: str, brackets: str) -> str:
+    """Encoded ``items`` as a JSON list or object whose brackets sit at
+    ``indent``, laid out as ``json.dumps(indent=2)`` lays it out."""
+    if not items:
+        return brackets
+    inner = "\n" + indent + "  "
+    return brackets[0] + inner + ("," + inner).join(items) + "\n" + indent + brackets[1]
 
 
 def matrix_to_json_text(bm: BehaviorMatrix) -> str:
-    return json.dumps(matrix_to_json_obj(bm), indent=2, ensure_ascii=False) + "\n"
+    """The matrix in the canonical JSON layout above."""
+    q = encode_basestring
+    scalar = json.JSONEncoder(ensure_ascii=False).encode  # keeps True apart from 1
+    programs = [
+        _block([f"{q(k)}: {q(v)}" for k, v in asdict(p).items() if v is not None], "    ", "{}")
+        for p in bm.programs
+    ]
+    keys = [q(t) + ": " for t in bm.tests]
+    rows = []
+    for p in bm.programs:
+        cells = []
+        for t, key in zip(bm.tests, keys):
+            tok = bm.token(p.id, t)
+            cell = f'{key}{{\n        "output": {q(tok.output)},\n        "status": {q(tok.status)}'
+            if tok.trace is not None:
+                entries = [
+                    f"[\n            {sid if sid.__class__ is int else scalar(sid)},"
+                    f"\n            {q(state)}\n          ]"
+                    for sid, state in tok.trace
+                ]
+                cell += ',\n        "trace": ' + _block(entries, "        ", "[]")
+            cells.append(cell + "\n      }")
+        rows.append(f"{q(p.id)}: {_block(cells, '    ', '{}')}")
+    return (
+        f'{{\n  "tests": {_block([q(t) for t in bm.tests], "  ", "[]")},'
+        f'\n  "programs": {_block(programs, "  ", "[]")},'
+        f'\n  "cells": {_block(rows, "  ", "{}")}\n}}\n'
+    )
 
 
 def _expect(condition: bool, path: str, message: str) -> None:
@@ -489,35 +511,40 @@ def _expect(condition: bool, path: str, message: str) -> None:
         raise SchemaError(path, message)
 
 
-def _token_from_obj(obj, path: str) -> BehaviorToken:
-    _expect(isinstance(obj, dict), path, "cell must be an object")
-    _expect("output" in obj, f"{path}/output", "missing required field")
-    _expect(isinstance(obj["output"], str), f"{path}/output", "must be a string")
+_CELL_FIELDS = frozenset(("output", "status", "trace"))
+
+
+def _token_from_obj(obj, pid: str, tid: str) -> BehaviorToken:
+    # Runs once per cell and its loop once per trace entry, so each error
+    # path is built only when raising.
+    if not isinstance(obj, dict):
+        raise SchemaError(f"/cells/{pid}/{tid}", "cell must be an object")
+    if "output" not in obj:
+        raise SchemaError(f"/cells/{pid}/{tid}/output", "missing required field")
+    if not isinstance(obj["output"], str):
+        raise SchemaError(f"/cells/{pid}/{tid}/output", "must be a string")
     status = obj.get("status", STATUS_NORMAL)
-    _expect(
-        isinstance(status, str) and status in STATUSES,
-        f"{path}/status",
-        f"must be one of {list(STATUSES)}",
-    )
+    if not (isinstance(status, str) and status in STATUSES):
+        raise SchemaError(f"/cells/{pid}/{tid}/status", f"must be one of {list(STATUSES)}")
     trace = None
     if "trace" in obj:
-        raw = obj["trace"]
-        _expect(isinstance(raw, list), f"{path}/trace", "must be a list")
-        entries = []
-        for i, item in enumerate(raw):
-            epath = f"{path}/trace/{i}"
-            _expect(
-                isinstance(item, list) and len(item) == 2,
-                epath,
-                "must be a [statement-id, state] pair",
-            )
+        trace = obj["trace"]
+        if not isinstance(trace, list):
+            raise SchemaError(f"/cells/{pid}/{tid}/trace", "must be a list")
+        for i, item in enumerate(trace):
+            if not (isinstance(item, list) and len(item) == 2):
+                raise SchemaError(
+                    f"/cells/{pid}/{tid}/trace/{i}", "must be a [statement-id, state] pair"
+                )
             sid, state = item
-            _expect(isinstance(sid, (int, str)), f"{epath}/0", "must be an int or string")
-            _expect(isinstance(state, str), f"{epath}/1", "must be a string")
-            entries.append((sid, state))
-        trace = tuple(entries)
-    unknown = set(obj) - {"output", "status", "trace"}
-    _expect(not unknown, f"{path}/{sorted(unknown)[0]}" if unknown else path, "unknown field")
+            # bool is an int, but true would load equal to 1 and dump apart
+            if not isinstance(sid, (int, str)) or isinstance(sid, bool):
+                raise SchemaError(f"/cells/{pid}/{tid}/trace/{i}/0", "must be an int or string")
+            if not isinstance(state, str):
+                raise SchemaError(f"/cells/{pid}/{tid}/trace/{i}/1", "must be a string")
+    if not _CELL_FIELDS.issuperset(obj):
+        unknown = sorted(set(obj) - _CELL_FIELDS)[0]
+        raise SchemaError(f"/cells/{pid}/{tid}/{unknown}", "unknown field")
     return BehaviorToken(obj["output"], status, trace)
 
 
@@ -529,9 +556,8 @@ def matrix_from_json_obj(obj) -> BehaviorMatrix:
     _expect(isinstance(raw_tests, list), "/tests", "must be a list")
     for i, t in enumerate(raw_tests):
         _expect(isinstance(t, str), f"/tests/{i}", "must be a string")
-    _expect(
-        len(set(raw_tests)) == len(raw_tests), "/tests", "test ids must be unique"
-    )
+    tests = set(raw_tests)
+    _expect(len(tests) == len(raw_tests), "/tests", "test ids must be unique")
     raw_programs = obj["programs"]
     _expect(isinstance(raw_programs, list), "/programs", "must be a list")
     entries = []
@@ -572,12 +598,14 @@ def matrix_from_json_obj(obj) -> BehaviorMatrix:
         _expect(e.id in raw_cells, f"/cells/{e.id}", "missing row for program")
         row = raw_cells[e.id]
         _expect(isinstance(row, dict), f"/cells/{e.id}", "must be an object")
+        if not tests.issuperset(row):
+            tid = next(t for t in row if t not in tests)
+            raise SchemaError(f"/cells/{e.id}/{tid}", "unknown test id")
         parsed: dict[str, BehaviorToken] = {}
-        for tid in row:
-            _expect(tid in raw_tests, f"/cells/{e.id}/{tid}", "unknown test id")
         for tid in raw_tests:
-            _expect(tid in row, f"/cells/{e.id}/{tid}", "missing cell for test")
-            parsed[tid] = _token_from_obj(row[tid], f"/cells/{e.id}/{tid}")
+            if tid not in row:
+                raise SchemaError(f"/cells/{e.id}/{tid}", "missing cell for test")
+            parsed[tid] = _token_from_obj(row[tid], e.id, tid)
         cells[e.id] = parsed
     return BehaviorMatrix(TestVector(tuple(raw_tests)), entries, cells)
 

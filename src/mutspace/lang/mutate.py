@@ -5,7 +5,9 @@ Operators:
 * AOR - replace an arithmetic operator with each of the other four
 * ROR - replace a relational operator with each of the other five
 * LCR - swap && and ||
-* CRP - replace an integer constant c with c+1, c-1, and 0
+* CRP - replace an integer constant c with c+1, c-1, and 0; a candidate
+  that ``str()`` cannot write (past Python's int-string limit) is skipped,
+  since ``parse`` would reject that literal anyway
 * SDL - delete one statement (compound statements go wholesale)
 
 Mutants are generated in a fixed order: statement id, then site offset
@@ -100,7 +102,11 @@ def _replacements(node: Expr) -> list[tuple[str, str, str]]:
         for candidate in (node.value + 1, node.value - 1, 0):
             if candidate not in seen:
                 seen.add(candidate)
-                options.append((OPERATOR_CRP, str(node.value), str(candidate)))
+                try:
+                    text = str(candidate)
+                except ValueError:  # past the int-string limit: parse rejects it too
+                    continue
+                options.append((OPERATOR_CRP, str(node.value), text))
         return options
     return []
 

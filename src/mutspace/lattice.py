@@ -178,10 +178,6 @@ def reachable_by_deviance(lattice: PositionLattice, start: Node) -> set[Node]:
     return out
 
 
-def _bits_label(node: Node) -> str:
-    return "".join(str(b) for b in node) or "()"
-
-
 def dot_escape(name: str) -> str:
     """``name`` as the body of a double-quoted DOT string."""
     return name.replace("\\", "\\\\").replace('"', '\\"')
@@ -190,17 +186,23 @@ def dot_escape(name: str) -> str:
 def lattice_to_dot(lattice: PositionLattice, name: str = "positions") -> str:
     """DOT rendering with nodes in ascending bit-string order and edges
     labeled by their deviating test."""
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
-    ids = {node: _bits_label(node) for node in lattice.nodes()}
-    for node, node_id in ids.items():
-        label = node_id
-        progs = lattice.programs_at(node)
+    n = lattice.dimension
+    # node k of ``nodes()`` is the bit string of k, tests[0] its leftmost bit
+    ids = [format(k, f"0{n}b") if n else "()" for k in range(1 << n)]
+    labels = list(ids)
+    for node, progs in lattice.annotations.items():
         if progs:
-            label += "\\n" + ",".join(dot_escape(p) for p in sorted(progs))
-        lines.append(f'  "{node_id}" [label="{label}"];')
+            k = sum(b << (n - 1 - i) for i, b in enumerate(node))
+            labels[k] += "\\n" + ",".join(dot_escape(p) for p in sorted(progs))
+    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines += [f'  "{u}" [label="{label}"];' for u, label in zip(ids, labels)]
     # escaped once per export: there are n * 2^(n-1) edges but n test names
-    names = {t: dot_escape(t) for t in lattice.tests}
-    for u, v, t in lattice.edges():
-        lines.append(f'  "{ids[u]}" -> "{ids[v]}" [label="{names[t]}"];')
+    flips = [(1 << (n - 1 - i), dot_escape(t)) for i, t in enumerate(lattice.tests)]
+    lines += [
+        f'  "{u}" -> "{ids[k | bit]}" [label="{t}"];'
+        for k, u in enumerate(ids)
+        for bit, t in flips
+        if not k & bit
+    ]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -81,20 +81,25 @@ class KillMatrix:
         return tuple(m for m, mask in self._masks.items() if mask)
 
     def to_csv(self) -> str:
+        # With "\r\n" as terminator the writer also quotes a field holding
+        # "\r", where a reader would end the row; each row then ends in "\n".
         out = io.StringIO()
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(("test",) + self.mutants)
-        for t, row in zip(self.tests, self.bits):
-            writer.writerow((t,) + row)
-        return out.getvalue()
+        writer = csv.writer(out, lineterminator="\r\n")
+        rows = [("test",) + self.mutants]
+        rows += [(t,) + row for t, row in zip(self.tests, self.bits)]
+        lines = []
+        for row in rows:
+            writer.writerow(row)
+            lines.append(out.getvalue()[:-2])
+            out.seek(0)
+            out.truncate()
+        return "\n".join(lines) + "\n"
 
     @classmethod
     def from_csv(cls, text: str) -> "KillMatrix":
         reader = csv.reader(io.StringIO(text, newline=""))
-        try:  # (line number, fields) of the non-blank lines
-            lines = [
-                (reader.line_num, f) for f in reader if len(f) > 1 or "".join(f).strip()
-            ]
+        try:  # (line number, fields) of the lines that are not empty
+            lines = [(reader.line_num, f) for f in reader if f]
         except csv.Error as exc:
             raise ValueError(f"line {reader.line_num}: {exc}") from exc
         if not lines:

@@ -311,3 +311,136 @@ def test_schema_rejects_duplicate_role():
     with pytest.raises(SchemaError) as err:
         matrix_from_json_text(json.dumps(good))
     assert err.value.path == "/programs/2/role"
+
+
+DELETE = object()
+
+
+def edited(doc, pointer: str, value):
+    """``doc`` with the field at JSON pointer ``pointer`` set to ``value``
+    (removed for ``DELETE``); the pointer ``""`` replaces the document."""
+    if not pointer:
+        return value
+    *parents, last = pointer[1:].split("/")
+    node = doc
+    for key in parents:
+        node = node[int(key)] if isinstance(node, list) else node[key]
+    if isinstance(node, list):
+        last = int(last)
+    if value is DELETE:
+        del node[last]
+    else:
+        node[last] = value
+    return doc
+
+
+# one case per check of the reader: (edits, error path, error message)
+SCHEMA_ERRORS = {
+    "document": ([("", [])], "/", "document must be an object"),
+    "missing_tests": ([("/tests", DELETE)], "/tests", "missing required field"),
+    "missing_programs": ([("/programs", DELETE)], "/programs", "missing required field"),
+    "missing_cells": ([("/cells", DELETE)], "/cells", "missing required field"),
+    "tests_not_list": ([("/tests", "t1")], "/tests", "must be a list"),
+    "test_not_string": ([("/tests/1", 2)], "/tests/1", "must be a string"),
+    "duplicate_tests": ([("/tests/1", "t1")], "/tests", "test ids must be unique"),
+    "programs_not_list": ([("/programs", {})], "/programs", "must be a list"),
+    "program_not_object": ([("/programs/1", "po")], "/programs/1", "must be an object"),
+    "program_id_missing": ([("/programs/1/id", DELETE)], "/programs/1/id", "must be a string"),
+    "program_id_not_string": ([("/programs/1/id", 3)], "/programs/1/id", "must be a string"),
+    "unknown_role": (
+        [("/programs/0/role", "oracle")],
+        "/programs/0/role",
+        "must be one of ['spec', 'original', 'mutant']",
+    ),
+    "duplicate_role": (
+        [("/programs/2/role", "spec"), ("/programs/2/origin", DELETE)],
+        "/programs/2/role",
+        "role 'spec' already held by 'ps'",
+    ),
+    "origin_not_string": ([("/programs/2/origin", 5)], "/programs/2/origin", "must be a string"),
+    "origin_without_mutant_role": (
+        [("/programs/2/role", DELETE)],
+        "/programs/2/origin",
+        "origin requires role 'mutant'",
+    ),
+    "unknown_program_field": ([("/programs/0/size", 1)], "/programs/0/size", "unknown field"),
+    "duplicate_program_ids": ([("/programs/1/id", "ps")], "/programs", "program ids must be unique"),
+    "unknown_origin": (
+        [("/programs/2/origin", "nobody")],
+        "/programs/2/origin",
+        "references unknown program",
+    ),
+    "cells_not_object": ([("/cells", [])], "/cells", "must be an object"),
+    "row_of_unknown_program": ([("/cells/ghost", {})], "/cells/ghost", "unknown program id"),
+    "missing_row": ([("/cells/m", DELETE)], "/cells/m", "missing row for program"),
+    "row_not_object": ([("/cells/m", [])], "/cells/m", "must be an object"),
+    "unknown_test_in_row": (
+        [("/cells/m/t9", {"output": "x"})],
+        "/cells/m/t9",
+        "unknown test id",
+    ),
+    "missing_cell": ([("/cells/m/t2", DELETE)], "/cells/m/t2", "missing cell for test"),
+    "cell_not_object": ([("/cells/m/t2", "beta")], "/cells/m/t2", "cell must be an object"),
+    "output_missing": (
+        [("/cells/m/t2/output", DELETE)],
+        "/cells/m/t2/output",
+        "missing required field",
+    ),
+    "output_not_string": ([("/cells/m/t2/output", 7)], "/cells/m/t2/output", "must be a string"),
+    "unknown_status": (
+        [("/cells/m/t2/status", "weird")],
+        "/cells/m/t2/status",
+        "must be one of ['normal', 'error', 'timeout']",
+    ),
+    "trace_not_list": ([("/cells/m/t2/trace", "x=1")], "/cells/m/t2/trace", "must be a list"),
+    "trace_entry_short": (
+        [("/cells/m/t2/trace", [[1, "x=1"], [2]])],
+        "/cells/m/t2/trace/1",
+        "must be a [statement-id, state] pair",
+    ),
+    "trace_entry_not_list": (
+        [("/cells/m/t2/trace", [[1, "x=1"], "ab"])],
+        "/cells/m/t2/trace/1",
+        "must be a [statement-id, state] pair",
+    ),
+    "trace_sid_float": (
+        [("/cells/m/t2/trace", [[1, "x=1"], [2.0, "x=2"]])],
+        "/cells/m/t2/trace/1/0",
+        "must be an int or string",
+    ),
+    "trace_sid_null": (
+        [("/cells/m/t2/trace", [[None, "x=1"]])],
+        "/cells/m/t2/trace/0/0",
+        "must be an int or string",
+    ),
+    "trace_state_not_string": (
+        [("/cells/m/t2/trace", [[1, 1]])],
+        "/cells/m/t2/trace/0/1",
+        "must be a string",
+    ),
+    "unknown_cell_field": (
+        [("/cells/m/t2/zeta", 1), ("/cells/m/t2/extra", 1)],
+        "/cells/m/t2/extra",
+        "unknown field",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", SCHEMA_ERRORS, ids=str)
+def test_schema_error_path_and_message(case):
+    edits, path, message = SCHEMA_ERRORS[case]
+    doc = json.loads(matrix_to_json_text(three_program_matrix()))
+    for pointer, value in edits:
+        doc = edited(doc, pointer, value)
+    with pytest.raises(SchemaError) as err:
+        matrix_from_json_text(json.dumps(doc))
+    assert (err.value.path, err.value.message) == (path, message)
+
+
+def test_schema_rejects_boolean_trace_sids():
+    # true would load equal to 1 and dump as true, so the text would not round-trip
+    doc = json.loads(matrix_to_json_text(three_program_matrix()))
+    doc["cells"]["m"]["t2"]["trace"] = [[1, "x=1"], [True, "x=2"]]
+    with pytest.raises(SchemaError) as err:
+        matrix_from_json_text(json.dumps(doc))
+    assert (err.value.path, err.value.message) == ("/cells/m/t2/trace/1/0", "must be an int or string")

@@ -183,6 +183,21 @@ def test_run_rejects_literals_int_cannot_read(runner, tmp_path, literal, message
     assert message in result.stderr
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python converts ints of any size to text",
+)
+def test_run_mutates_a_literal_at_the_int_string_limit(runner, tmp_path):
+    program, tests, _ = write_faulty_inputs(tmp_path)
+    program.write_text("x = " + "9" * 4_300 + ";\nreturn x;\n")
+    result = runner.invoke(main, ["run", "--program", str(program), "--tests", str(tests)])
+    assert result.exit_code == 0, result.stderr
+    from mutspace import matrix_from_json_text
+
+    bm = matrix_from_json_text(result.output)
+    assert len(bm.mutant_ids()) == 4  # SDL of both statements, CRP to c - 1 and 0
+
+
 # --- analyze ---------------------------------------------------------------------
 
 

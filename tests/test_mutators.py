@@ -1,4 +1,5 @@
 import re
+import sys
 
 import pytest
 
@@ -121,6 +122,21 @@ def test_crp_negative_replacement_stays_parseable():
     source = render(minus_one)
     assert source == "x = -1;\nreturn x;\n"
     assert render(parse(source)) == source
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"),
+    reason="this Python converts ints of any size to text",
+)
+def test_crp_skips_a_replacement_str_cannot_write():
+    # 4,300 digits is the most Python converts to text by default, so c + 1
+    # cannot be written, and parse would reject it as a literal
+    program = parse("x = " + "9" * 4_300 + ";\nreturn x;")
+    mutants = mutate_all(program, ("CRP",))
+    assert [desc.replacement for desc, _ in mutants] == ["9" * 4_299 + "8", "0"]
+    for desc, mutant in mutants:
+        assert apply_descriptor(program, desc) == mutant
+        assert parse(render(mutant)) == mutant
 
 
 def test_sdl_deletes_whole_compound_statements():
