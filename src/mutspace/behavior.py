@@ -158,9 +158,6 @@ class BehaviorMatrix:
     def program_ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self._programs)
 
-    def has_program(self, program_id: str) -> bool:
-        return program_id in self._cells
-
     def entry(self, program_id: str) -> ProgramEntry:
         for p in self._programs:
             if p.id == program_id:
@@ -184,11 +181,14 @@ class BehaviorMatrix:
     def mutant_ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self._programs if p.role == ROLE_MUTANT)
 
-    def token(self, program_id: str, test_id: str) -> BehaviorToken:
+    def _row(self, program_id: str) -> dict[str, BehaviorToken]:
         row = self._cells.get(program_id)
         if row is None:
             raise UnknownIdError(f"unknown program id {program_id!r}")
-        tok = row.get(test_id)
+        return row
+
+    def token(self, program_id: str, test_id: str) -> BehaviorToken:
+        tok = self._row(program_id).get(test_id)
         if tok is None:
             raise UnknownIdError(f"unknown test id {test_id!r}")
         return tok
@@ -266,7 +266,6 @@ class Differentiator:
 
     policy: str = POLICY_EXACT
     tolerance: Optional[float] = None
-    id: str = ""
 
     def __post_init__(self):
         if self.policy not in POLICIES:
@@ -276,11 +275,13 @@ class Differentiator:
                 raise ValueError("numeric policy requires a nonnegative tolerance")
         elif self.tolerance is not None:
             raise ValueError(f"policy {self.policy!r} does not take a tolerance")
-        if not self.id:
-            name = self.policy
-            if self.policy == POLICY_NUMERIC:
-                name = f"numeric({self.tolerance})"
-            object.__setattr__(self, "id", name)
+
+    @property
+    def id(self) -> str:
+        """Name of the policy, with the tolerance for ``numeric``."""
+        if self.policy == POLICY_NUMERIC:
+            return f"numeric({self.tolerance})"
+        return self.policy
 
     @classmethod
     def exact(cls) -> "Differentiator":
@@ -319,20 +320,25 @@ class Differentiator:
 
 @dataclass(frozen=True)
 class DiffVector:
-    """Per-test difference bits between two programs, in test order."""
+    """Difference bits between two programs, packed in ``mask`` (bit i is
+    ``tests[i]``); ``bits`` is the per-test tuple view."""
 
-    bits: tuple[int, ...]
+    mask: int
     tests: TestVector
     left: str
     right: str
     differentiator: str
 
     def __post_init__(self):
-        if len(self.bits) != len(self.tests):
-            raise ValueError("one bit per test required")
+        if self.mask < 0 or self.mask.bit_length() > len(self.tests):
+            raise ValueError(f"mask {self.mask} does not fit {len(self.tests)} tests")
+
+    @property
+    def bits(self) -> tuple[int, ...]:
+        return unpack_bits(self.mask, len(self.tests))
 
     def norm(self) -> int:
-        return sum(self.bits)
+        return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[int]:
         return iter(self.bits)
@@ -348,8 +354,8 @@ def differentiate(
 # --- packed difference bits ---------------------------------------------------
 #
 # The one encoding of difference bits is a mask: an int whose bit i is the
-# bit of tests[i].  Each bit comes from one ``differentiate`` call, never from
-# other bits, because numeric tolerance is not transitive.
+# bit of tests[i].  Each bit comes from one ``Differentiator.differs`` call,
+# never from other bits, because numeric tolerance is not transitive.
 
 
 def diff_mask(
@@ -359,10 +365,16 @@ def diff_mask(
     py: str,
     bm: BehaviorMatrix,
 ) -> int:
-    """Difference bits between ``px`` and ``py``; bit i is test ``tv[i]``."""
+    """Difference bits between ``px`` and ``py``; bit i is test ``tv[i]``.
+
+    Unknown program and test ids raise :class:`UnknownIdError`, as
+    :meth:`BehaviorMatrix.token` does."""
+    row_x, row_y = bm._row(px), bm._row(py)
     mask = 0
     for i, t in enumerate(tv):
-        if differentiate(d, t, px, py, bm):
+        if t not in row_x:
+            raise UnknownIdError(f"unknown test id {t!r}")
+        if d.differs(row_x[t], row_y[t]):
             mask |= 1 << i
     return mask
 
@@ -391,8 +403,7 @@ def diff_vector(
 ) -> DiffVector:
     """Difference bits between ``px`` and ``py`` over the tests in ``tv``."""
     tv = TestVector.of(tv)
-    bits = unpack_bits(diff_mask(d, tv, px, py, bm), len(tv))
-    return DiffVector(bits, tv, px, py, d.id)
+    return DiffVector(diff_mask(d, tv, px, py, bm), tv, px, py, d.id)
 
 
 def manhattan_norm(v: Union[DiffVector, Iterable[int]]) -> int:

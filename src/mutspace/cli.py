@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict
 from pathlib import Path
 from typing import Optional
@@ -28,7 +29,7 @@ from .behavior import (
     matrix_to_json_text,
 )
 from .errors import CapacityError, ParseError, RoleError, SchemaError, UnknownIdError
-from .lattice import annotate, build_lattice, lattice_to_dot
+from .lattice import PositionLattice, build_lattice, lattice_to_dot
 from .mbfl import FaultLocalizationInput, rank_statements, report_to_json_text
 from .space import ProgramSpace, coincidence_counterexample
 from .subsumption import (
@@ -153,11 +154,21 @@ def _execute(program_path, tests_path, expected_path, operators, tracing, budget
     return mutants, matrix
 
 
+@contextmanager
+def _writing(path):
+    """Writes to ``path`` inside the block; an OS failure is an input error."""
+    try:
+        yield
+    except OSError as exc:
+        _die(EXIT_INPUT, f"cannot write {path}: {exc}")
+
+
 def _emit(text: str, out: Optional[str]) -> None:
     if out is None:
         click.echo(text, nl=False)
     else:
-        Path(out).write_text(text, encoding="utf-8")
+        with _writing(out):
+            Path(out).write_text(text, encoding="utf-8")
 
 
 def _print_json(obj) -> None:
@@ -189,11 +200,12 @@ def mutate(source, operators, out_dir):
     mutants = _mutants(_load(source, lang.parse, ParseError), operators)
     if out_dir is not None:
         directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        for desc, mutant in mutants:
-            (directory / f"{desc.id}.src").write_text(
-                lang.render(mutant), encoding="utf-8"
-            )
+        with _writing(out_dir):
+            directory.mkdir(parents=True, exist_ok=True)
+            for desc, mutant in mutants:
+                (directory / f"{desc.id}.src").write_text(
+                    lang.render(mutant), encoding="utf-8"
+                )
     listing = [asdict(desc) for desc, _ in mutants]
     _print_json(listing)
 
@@ -317,6 +329,10 @@ def mbfl(matrix_path, statements_path, program_path, tests_path, expected_path,
             raw = _load_json(statements_path)
             if not isinstance(raw, dict):
                 _die(EXIT_INPUT, f"{statements_path}: must map mutant ids to statements")
+            for key, value in raw.items():
+                # bool is an int, but true would rank as, and merge with, statement 1
+                if isinstance(value, bool) or not isinstance(value, (int, str, type(None))):
+                    _die(EXIT_INPUT, f"{statements_path}: /{key}: must be a string, an integer or null")
             statements = dict(raw)
     elif program_path is not None:
         if tests_path is None or expected_path is None:
@@ -393,31 +409,18 @@ def demo(out_dir):
 
     click.echo("\n".join(lines))
     if out_dir is not None:
+        # each demo mutant has its own kill column, so its own lattice node
+        at_node = {km.column(m): (m,) for m in km.mutants}
+        lattice = PositionLattice(len(km.tests), tuple(km.tests), at_node)
         directory = Path(out_dir)
-        directory.mkdir(parents=True, exist_ok=True)
-        (directory / "example_matrix.json").write_text(
-            matrix_to_json_text(bm), encoding="utf-8"
-        )
-        (directory / "kills.csv").write_text(_DEMO_KILLS_CSV, encoding="utf-8")
-        (directory / "dmsg.dot").write_text(dot, encoding="utf-8")
-        space = ProgramSpace(km.tests, "original", d, _demo_kill_matrix_source(km))
-        lattice = annotate(build_lattice(3, km.tests), space, km.mutants)
-        (directory / "lattice.dot").write_text(lattice_to_dot(lattice), encoding="utf-8")
-
-
-def _demo_kill_matrix_source(km: KillMatrix):
-    """Behavior matrix that reproduces the demo kill bits under exact equality."""
-    outputs = {"original": ["same"] * len(km.tests)}
-    for m in km.mutants:
-        outputs[m] = [
-            f"diff-{t}-{m}" if bit else "same"
-            for t, bit in zip(km.tests, km.column(m))
-        ]
-    roles = {"original": "original"}
-    roles.update({m: "mutant" for m in km.mutants})
-    return matrix_from_outputs(
-        km.tests, outputs, roles=roles, origins={m: "original" for m in km.mutants}
-    )
+        with _writing(out_dir):
+            directory.mkdir(parents=True, exist_ok=True)
+            (directory / "example_matrix.json").write_text(
+                matrix_to_json_text(bm), encoding="utf-8"
+            )
+            (directory / "kills.csv").write_text(_DEMO_KILLS_CSV, encoding="utf-8")
+            (directory / "dmsg.dot").write_text(dot, encoding="utf-8")
+            (directory / "lattice.dot").write_text(lattice_to_dot(lattice), encoding="utf-8")
 
 
 if __name__ == "__main__":

@@ -346,30 +346,28 @@ def behavior_matrix(
     tracing: bool = False,
     budget: int = DEFAULT_BUDGET,
     expected: Optional[Mapping[str, str]] = None,
-    original_id: str = "original",
-    spec_id: str = "spec",
 ) -> BehaviorMatrix:
-    """Execute the original and every mutant against every test.
+    """Execute the original (row ``original``) and every mutant on every test.
 
-    ``expected`` (test id -> output text) adds a spec row of intended
+    ``expected`` (test id -> output text) adds a ``spec`` row of intended
     outputs; the spec need not be a runnable program.  Two calls with the
     same inputs produce equal matrices.
     """
     tv = TestVector(tuple(t.id for t in tests))
-    entries = [ProgramEntry(original_id, ROLE_ORIGINAL)]
+    entries = [ProgramEntry("original", ROLE_ORIGINAL)]
 
     def row(program: Program) -> dict[str, BehaviorToken]:
         run = _compile(program, tracing)  # once per row, then run on every test
         return {t.id: run(t, budget) for t in tests}
 
-    cells: dict[str, dict[str, BehaviorToken]] = {original_id: row(original)}
+    cells: dict[str, dict[str, BehaviorToken]] = {"original": row(original)}
     for desc, prog in mutants:
-        entries.append(ProgramEntry(desc.id, ROLE_MUTANT, origin=original_id))
+        entries.append(ProgramEntry(desc.id, ROLE_MUTANT, origin="original"))
         cells[desc.id] = row(prog)
     if expected is not None:
         missing = [t.id for t in tests if t.id not in expected]
         if missing:
             raise ValueError(f"expected outputs missing for tests {missing}")
-        entries.append(ProgramEntry(spec_id, ROLE_SPEC))
-        cells[spec_id] = {t.id: BehaviorToken(str(expected[t.id])) for t in tests}
+        entries.append(ProgramEntry("spec", ROLE_SPEC))
+        cells["spec"] = {t.id: BehaviorToken(str(expected[t.id])) for t in tests}
     return BehaviorMatrix(tv, entries, cells)

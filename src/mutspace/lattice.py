@@ -183,7 +183,7 @@ def dot_escape(name: str) -> str:
     return name.replace("\\", "\\\\").replace('"', '\\"')
 
 
-def lattice_to_dot(lattice: PositionLattice, name: str = "positions") -> str:
+def lattice_to_dot(lattice: PositionLattice) -> str:
     """DOT rendering with nodes in ascending bit-string order and edges
     labeled by their deviating test."""
     n = lattice.dimension
@@ -194,7 +194,7 @@ def lattice_to_dot(lattice: PositionLattice, name: str = "positions") -> str:
         if progs:
             k = sum(b << (n - 1 - i) for i, b in enumerate(node))
             labels[k] += "\\n" + ",".join(dot_escape(p) for p in sorted(progs))
-    lines = [f"digraph {name} {{", "  rankdir=BT;"]
+    lines = ["digraph positions {", "  rankdir=BT;"]
     lines += [f'  "{u}" [label="{label}"];' for u, label in zip(ids, labels)]
     # escaped once per export: there are n * 2^(n-1) edges but n test names
     flips = [(1 << (n - 1 - i), dot_escape(t)) for i, t in enumerate(lattice.tests)]

@@ -16,7 +16,6 @@ from .behavior import (
     Differentiator,
     TestVector,
     diff_mask,
-    differentiate,
     select,
     unpack_bits,
 )
@@ -41,8 +40,7 @@ class ProgramSpace:
 
     def __post_init__(self):
         object.__setattr__(self, "tests", TestVector.of(self.tests))
-        if not self.matrix.has_program(self.origin):
-            raise UnknownIdError(f"unknown program id {self.origin!r}")
+        self.matrix.entry(self.origin)  # raises UnknownIdError
         known = set(self.matrix.tests)
         for t in self.tests:
             if t not in known:
@@ -73,9 +71,6 @@ class Position:
     def bits(self) -> tuple[int, ...]:
         return unpack_bits(self.mask, len(self.space.tests))
 
-    def distance(self) -> int:
-        return self.mask.bit_count()
-
 
 def position(sp: ProgramSpace, p: str) -> Position:
     """Locate program ``p`` in the space; the origin sits at the zero vector."""
@@ -88,7 +83,7 @@ def distance_from_origin(pos: Position) -> int:
     With a spec-row origin this measures the subject's incorrectness; with
     an original-row origin and a mutant subject, how easily it is killed.
     """
-    return pos.distance()
+    return pos.mask.bit_count()
 
 
 def distinguishing_dimensions(sp: ProgramSpace, px: str, py: str) -> list[str]:
@@ -110,8 +105,6 @@ def coincidence_counterexample(
     behavior (it happens when both programs differ from the origin in
     distinct ways).  Returns ``None`` when no witness exists.
     """
-    agree = select(~(sp.mask(px) ^ sp.mask(py)), sp.tests)
-    found = [
-        t for t in agree if differentiate(sp.differentiator, t, px, py, sp.matrix)
-    ]
-    return found or None
+    agree = ~(sp.mask(px) ^ sp.mask(py))
+    differ = diff_mask(sp.differentiator, sp.tests, px, py, sp.matrix)
+    return list(select(differ & agree, sp.tests)) or None

@@ -150,15 +150,11 @@ def dynamically_subsumes(km: KillMatrix, mx: str, my: str) -> bool:
 
 @dataclass(frozen=True)
 class MutantClass:
-    """Killed mutants sharing one kill column; the representative is the
-    first member in column order."""
+    """Killed mutants sharing one kill column, packed in ``mask``; the
+    representative is the first member in column order."""
 
     members: tuple[str, ...]
-    column: tuple[int, ...]
-    mask: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "mask", pack_bits(self.column))
+    mask: int
 
     @property
     def representative(self) -> str:
@@ -204,10 +200,8 @@ def build_dmsg(km: KillMatrix) -> SubsumptionGraph:
             by_mask.setdefault(mask, []).append(m)
         else:
             live.append(m)
-    n = len(km.tests)
     classes = tuple(
-        MutantClass(tuple(members), unpack_bits(mask, n))
-        for mask, members in by_mask.items()
+        MutantClass(tuple(members), mask) for mask, members in by_mask.items()
     )
     masks = list(by_mask)
     # below[i]: bit j is set iff class i strictly subsumes class j
@@ -306,9 +300,9 @@ def adequacy_from_kills(km: KillMatrix) -> AdequacyResult:
     return adequacy_from_masks(km.tests, ((m, km.mask(m)) for m in km.mutants))
 
 
-def dmsg_to_dot(graph: SubsumptionGraph, name: str = "dmsg") -> str:
+def dmsg_to_dot(graph: SubsumptionGraph) -> str:
     """DOT rendering; class nodes list their member mutants."""
-    lines = [f"digraph {name} {{"]
+    lines = ["digraph dmsg {"]
     for i, cls in enumerate(graph.classes):
         label = ",".join(dot_escape(m) for m in cls.members)
         lines.append(f'  c{i} [label="{label}"];')

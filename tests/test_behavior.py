@@ -444,3 +444,17 @@ def test_schema_rejects_boolean_trace_sids():
     with pytest.raises(SchemaError) as err:
         matrix_from_json_text(json.dumps(doc))
     assert (err.value.path, err.value.message) == ("/cells/m/t2/trace/1/0", "must be an int or string")
+
+
+@pytest.mark.parametrize("kernel", ["diff_mask", "diff_vector"])
+def test_diff_kernels_name_unknown_ids(example_matrix, kernel):
+    from mutspace import behavior
+
+    run = getattr(behavior, kernel)
+    tv = example_matrix.tests
+    with pytest.raises(UnknownIdError, match="unknown program id 'nobody'"):
+        run(EXACT, tv, "nobody", "po", example_matrix)
+    with pytest.raises(UnknownIdError, match="unknown program id 'nobody'"):
+        run(EXACT, tv, "ps", "nobody", example_matrix)
+    with pytest.raises(UnknownIdError, match="unknown test id 't9'"):
+        run(EXACT, ("t1", "t9"), "ps", "po", example_matrix)

@@ -379,6 +379,41 @@ def test_mbfl_missing_spec_row_exits_3(runner, tmp_path):
     assert "spec" in result.stderr
 
 
+@pytest.mark.parametrize("value", [[1], True, 1.5], ids=["list", "bool", "float"])
+def test_mbfl_rejects_statement_values_that_are_not_ids(runner, tmp_path, value):
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(matrix_to_json_text(three_program_matrix()))
+    statements = tmp_path / "statements.json"
+    statements.write_text(json.dumps({"m": value}))
+    result = runner.invoke(
+        main, ["mbfl", "--matrix", str(matrix), "--statements", str(statements)]
+    )
+    assert result.exit_code == 2
+    assert "/m" in result.stderr
+    assert "Traceback" not in result.output
+
+
+# --- write failures -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("command", ["dmsg", "pdl", "demo", "mutate"])
+def test_write_failure_exits_2(runner, tmp_path, command):
+    missing = tmp_path / "missing" / "x.dot"
+    under_file = tmp_path / "afile" / "sub"  # afile is a regular file
+    (tmp_path / "afile").write_text("")
+    src = tmp_path / "max.src"
+    src.write_text(MAX_SRC)
+    args, path = {
+        "dmsg": (["analyze", "dmsg", str(write_kills(tmp_path)), "--out", str(missing)], missing),
+        "pdl": (["analyze", "pdl", "--n", "2", "--out", str(missing)], missing),
+        "demo": (["demo", "--out", str(under_file)], under_file),
+        "mutate": (["mutate", str(src), "--out-dir", str(under_file)], under_file),
+    }[command]
+    result = runner.invoke(main, args)
+    assert result.exit_code == 2
+    assert f"error: cannot write {path}: " in result.stderr
+
+
 # --- demo ---------------------------------------------------------------------------
 
 
@@ -400,3 +435,21 @@ def test_demo_is_deterministic_and_writes_files(runner, tmp_path):
         assert (tmp_path / "a" / name).read_bytes() == (
             tmp_path / "b" / name
         ).read_bytes()
+
+
+DEMO_FILE_SHA256 = {
+    "example_matrix.json": "c2d1e6b85119a5c440f28f45e48c622c7b80145053d3a2df520ecf5e6ecf13e3",
+    "kills.csv": "907c0ac113ecdbc0c161926bb0081cf462a60311c2849eeb51dee792165400a2",
+    "dmsg.dot": "af91f8e78ae0c56a835648f17b5a8d5386f1f784acdb41590d8b4865d913fddf",
+    "lattice.dot": "62791fb1d5cc34bfde51e96835ac7bf52097fd14d770e15075fc98c956dc1754",
+}
+
+
+def test_demo_files_have_pinned_bytes(runner, tmp_path):
+    import hashlib
+
+    result = runner.invoke(main, ["demo", "--out", str(tmp_path)])
+    assert result.exit_code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(DEMO_FILE_SHA256)
+    for name, digest in DEMO_FILE_SHA256.items():
+        assert hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() == digest, name

@@ -155,3 +155,43 @@ def test_equal_positions_with_different_behaviors_are_reachable():
             if coincidence_counterexample(sp, "p1", "p2"):
                 found += 1
     assert found >= 1
+
+
+def test_coincidence_counterexample_names_unknown_programs():
+    sp = spec_space()
+    with pytest.raises(UnknownIdError, match="unknown program id 'nobody'"):
+        coincidence_counterexample(sp, "nobody", "m")
+    with pytest.raises(UnknownIdError, match="unknown program id 'nobody'"):
+        coincidence_counterexample(sp, "m", "nobody")
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 6), st.integers(1, 3))
+@settings(max_examples=100, deadline=None)
+def test_packed_kernels_match_per_test_differentiate(seed, n_tests, alphabet):
+    from mutspace import build_dmsg, kill_matrix
+    from mutspace.behavior import pack_bits
+
+    rng = random.Random(seed)
+    bm = random_matrix(rng, n_tests, 4, alphabet, roles={"p0": "original"})
+    programs = bm.program_ids()
+
+    def bits(px, py):  # reference: one differentiate call per test
+        return tuple(differentiate(EXACT, t, px, py, bm) for t in bm.tests)
+
+    for px in programs:
+        for py in programs:
+            v = diff_vector(EXACT, bm.tests, px, py, bm)
+            assert v.bits == bits(px, py)
+            assert v.mask == pack_bits(v.bits)
+            assert v.norm() == sum(v.bits)
+    sp = ProgramSpace(bm.tests, "p0", EXACT, bm)
+    for cls in build_dmsg(kill_matrix(sp, programs[1:], bm)).classes:
+        for m in cls.members:
+            assert cls.mask == pack_bits(bits("p0", m))
+    for origin in programs:
+        sp = ProgramSpace(bm.tests, origin, EXACT, bm)
+        for px in programs:
+            for py in programs:
+                rows = zip(bm.tests, bits(origin, px), bits(origin, py), bits(px, py))
+                found = [t for t, ox, oy, xy in rows if ox == oy and xy]
+                assert coincidence_counterexample(sp, px, py) == (found or None)
