@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from json.encoder import encode_basestring
 from dataclasses import asdict, dataclass, field
-from decimal import Decimal, InvalidOperation
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_FLOOR, Context, Decimal, Inexact, InvalidOperation
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .errors import SchemaError, UnknownIdError
@@ -244,6 +244,22 @@ def _as_decimal(text: str) -> Optional[Decimal]:
     return value if value.is_finite() else None
 
 
+def _exceeds(x: Decimal, y: Decimal, tolerance: Decimal) -> bool:
+    """Whether ``x - y > tolerance``, decided exactly in bounded work.
+
+    ``x - y`` is rounded down to as many digits as ``tolerance`` has, in a
+    context that admits every exponent.  ``tolerance`` is then one of the
+    values the difference can round to, so a difference above it rounds to
+    it or above, and one that rounds to exactly ``tolerance`` is above it
+    only if the rounding was inexact.  The digits stay few however far
+    apart the exponents of ``x`` and ``y`` are.
+    """
+    ctx = Context(prec=len(tolerance.as_tuple().digits), rounding=ROUND_FLOOR,
+                  Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[])
+    low = ctx.subtract(x, y)
+    return low > tolerance or (low == tolerance and bool(ctx.flags[Inexact]))
+
+
 @dataclass(frozen=True)
 class Differentiator:
     """Binary judgment of behavioral difference between two tokens.
@@ -311,7 +327,8 @@ class Differentiator:
             return True
         x, y = _as_decimal(a.output), _as_decimal(b.output)
         if x is not None and y is not None:
-            return abs(x - y) > Decimal(str(self.tolerance))
+            tolerance = Decimal(str(self.tolerance))
+            return _exceeds(x, y, tolerance) or _exceeds(y, x, tolerance)
         return a.output != b.output
 
     def bit(self, a: BehaviorToken, b: BehaviorToken) -> int:

@@ -10,13 +10,21 @@ cached across calls or shared between rows.
 
 Generated code:
 
-- Variables stay keys of the ``env`` dict, written ``env['x']``, so a toy
-  name never becomes a Python identifier and cannot clash with a Python
-  keyword, builtin or the generator's own locals (``None``, ``def``,
-  ``env``, ``sid``, ``é`` and ``x²`` are all legal toy names).  Names and
-  literals of up to 64 bits go into the text through ``repr``; a larger
-  literal is bound in the ``exec`` namespace, because ``repr`` of an int
-  past Python's int-string limit raises.
+- Variables live in Python locals.  Each toy name gets a generated local
+  ``_v0``, ``_v1``, ... (one map per program), so a toy name never becomes
+  a Python identifier and cannot clash with a Python keyword, builtin or
+  the generator's own names (``None``, ``def``, ``env``, ``sid``, ``é``
+  and ``x²`` are all legal toy names).  The test's inputs arrive in the
+  ``env`` dict, and each generated function starts by loading the names
+  it uses that ``env`` holds: ``if 'x' in env: _v0 = env['x']``.  Names
+  and literals of up to 64 bits go into the text through ``repr``; a
+  larger literal is bound in the ``exec`` namespace, because ``repr`` of
+  an int past Python's int-string limit raises.
+- Write-through: an assignment also writes ``env`` (``_v0 = env['x'] =
+  ...``) only where ``env`` is read later: in the traced variant, whose
+  store text is built from ``env``, and in a program with a hoisted
+  function (below), which loads its names from ``env``.  After a hoisted
+  call the caller reloads every name the call may have assigned.
 - Steps: the function holds a local counter that starts at the budget.  A
   step is taken on entry to each statement and again before each further
   ``while`` check, by one line that decrements the counter or, when it is
@@ -26,10 +34,14 @@ Generated code:
   left to right and ``3 < 2 < 1`` never becomes a Python chained
   comparison.  Conditions are emitted for their truth only; a comparison,
   ``&&``, ``||`` or ``!`` used as a value gives 0 or 1.
-- Halts: ``/`` and ``%`` go through helpers that take the statement id.  A
-  read of an unbound name raises ``KeyError``, which each generated
-  function turns into a halt naming its local ``sid``, set before each
-  statement and before each ``while`` check.
+- Halts: ``/`` and ``%`` go through one helper call each, which takes the
+  statement id.  A read of a name that is neither an input nor assigned
+  yet reads a local that was never bound, and Python raises
+  ``UnboundLocalError``.  Each generated function turns it into a halt
+  naming its local ``sid``, set before each statement and before each
+  ``while`` check.  The toy name comes from the exception itself: CPython
+  quotes the unbound local in its message, so a short-circuited operand
+  that never ran cannot be blamed.
 - Only the traced variant records trace entries; the untraced code tests
   nothing per statement.
 - CPython's compiler allows 20 statically nested blocks (a ``while`` or a
@@ -119,11 +131,6 @@ class _Timeout(Exception):
     pass
 
 
-def _trunc_div(a: int, b: int) -> int:
-    q = abs(a) // abs(b)
-    return q if (a >= 0) == (b >= 0) else -q
-
-
 def _value_text(v: int) -> str:
     try:
         return str(v)
@@ -144,13 +151,25 @@ def _store_text(env: _Env) -> str:
 def _div(a: int, b: int, sid: int) -> int:
     if b == 0:
         raise _Halt("division by zero", sid)
-    return _trunc_div(a, b)
+    q = a // b  # the floor; truncation is one more when it is negative and inexact
+    if q < 0 and q * b != a:
+        q += 1
+    return q
 
 
 def _mod(a: int, b: int, sid: int) -> int:
     if b == 0:
         raise _Halt("modulo by zero", sid)
-    return a - _trunc_div(a, b) * b
+    r = a % b  # takes b's sign; the truncated remainder takes a's
+    if r and (r < 0) != (a < 0):
+        r -= b
+    return r
+
+
+def _unbound(error: UnboundLocalError, names: Mapping[str, str], sid: int) -> _Halt:
+    """The halt for a read of an unbound variable: CPython quotes the unread
+    local's name in ``error``'s message, and ``names`` maps it to the toy name."""
+    return _Halt("unbound variable: " + names[str(error).split("'")[1]], sid)
 
 
 def _timeout() -> int:
@@ -177,6 +196,7 @@ _RUNTIME = {
     "_Halt": _Halt,
     "_div": _div,
     "_mod": _mod,
+    "_unbound": _unbound,
     "_timeout": _timeout,
     "_traced": _traced,
     "_return": _return,
@@ -191,26 +211,62 @@ _LOGIC = {"&&": "and", "||": "or"}
 _HALTING = {"/": "_div", "%": "_mod"}  # helpers that halt on a zero divisor
 
 
+def _hoists(stmts: Sequence[Stmt], depth: int = 0) -> bool:
+    """Whether some compound statement in ``stmts`` lies ``_HOIST_DEPTH`` or
+    more levels deep, so that it moves into a generated function of its own."""
+    for s in stmts:
+        if isinstance(s, If):
+            bodies: tuple[Sequence[Stmt], ...] = (s.then_body, s.else_body)
+        elif isinstance(s, While):
+            bodies = (s.body,)
+        else:
+            continue
+        if depth >= _HOIST_DEPTH or any(_hoists(body, depth + 1) for body in bodies):
+            return True
+    return False
+
+
 class _Source:
     """Python source for one program: ``_run`` and the hoisted functions.
 
     Every generated function is ``def f(env, n, trace)``: ``n`` is the
     steps left, and ``trace`` the trace list or None.  Functions end by
-    returning ``n``; a return, halt or timeout raises.
+    returning ``n``; a return, halt or timeout raises.  Toy variables are
+    the locals ``_v0``, ``_v1``, ... of each function; assignments also
+    write to ``env`` when ``write_through`` is set.
     """
 
-    def __init__(self, tracing: bool):
+    def __init__(self, tracing: bool, write_through: bool):
         self.tracing = tracing
+        self.write_through = write_through
         self.functions: list[str] = []  # finished functions, innermost first
         self.hoisted = 0
         self.consts: dict[str, int] = {}  # namespace names of large literals
+        self.locals: dict[str, str] = {}  # toy name -> local, one map per program
+        self.used: dict[str, None] = {}  # the toy names the current function uses
+
+    def local(self, name: str) -> str:
+        """The local holding toy variable ``name`` in the current function."""
+        self.used[name] = None
+        return self.locals.setdefault(name, f"_v{len(self.locals)}")
+
+    def load(self, name: str) -> str:
+        """A line that loads toy variable ``name`` if ``env`` holds it."""
+        return f"if {name!r} in env: {self.local(name)} = env[{name!r}]"
 
     def function(self, name: str, stmts: Sequence[Stmt]) -> None:
-        lines = [f"def {name}(env, n, trace):", " try:"]
-        self.block(stmts, 2, 0, lines)
-        lines += [
-            " except KeyError as e:",
-            "  raise _Halt('unbound variable: ' + e.args[0], sid) from None",
+        outer, self.used = self.used, {}
+        body: list[str] = []
+        self.block(stmts, 2, 0, body)
+        loads = [" " + self.load(toy) for toy in self.used]
+        self.used = outer
+        lines = [
+            f"def {name}(env, n, trace):",
+            *loads,
+            " try:",
+            *body,
+            " except UnboundLocalError as e:",
+            "  raise _unbound(e, _names, sid) from None",
             " return n",
         ]
         self.functions.append("\n".join(lines))
@@ -228,12 +284,18 @@ class _Source:
             self.hoisted += 1
             self.function(name, (stmt,))
             out.append(f"{pad}n = {name}(env, n, trace)")
+            # the call wrote its assignments to env: reload them
+            assigned = [s.name for s in Program((stmt,)).walk_statements() if isinstance(s, Assign)]
+            out += [pad + self.load(toy) for toy in dict.fromkeys(assigned)]
             return
         sid = stmt.sid
         step = f"n = n - 1 if n else _timeout(); sid = {sid}"
         out.append(pad + step)
         if isinstance(stmt, Assign):
-            out.append(f"{pad}env[{stmt.name!r}] = {self.value(stmt.value, sid)}")
+            target = self.local(stmt.name)
+            if self.write_through:
+                target += f" = env[{stmt.name!r}]"
+            out.append(f"{pad}{target} = {self.value(stmt.value, sid)}")
             if self.tracing:
                 out.append(f"{pad}trace.append(({sid}, _store_text(env)))")
         elif isinstance(stmt, Return):
@@ -281,7 +343,7 @@ class _Source:
             self.consts[name] = expr.value
             return name
         if isinstance(expr, Var):
-            return f"env[{expr.name!r}]"
+            return self.local(expr.name)
         if isinstance(expr, UnaryOp):
             if expr.op == "-":
                 return f"(-{self.value(expr.operand, sid)})"
@@ -298,9 +360,11 @@ class _Source:
 
 def _compile(program: Program, tracing: bool) -> Callable[[TestCase, int], BehaviorToken]:
     """Compile ``program`` once; the result runs it on one test."""
-    source = _Source(tracing)
+    # env is read back only for store text and by hoisted functions
+    source = _Source(tracing, write_through=tracing or _hoists(program.statements))
     source.function("_run", program.statements)
-    namespace = dict(_RUNTIME, **source.consts)
+    names = {local: toy for toy, local in source.locals.items()}
+    namespace = dict(_RUNTIME, _names=names, **source.consts)
     exec(compile("\n".join(source.functions), "<mutspace program>", "exec"), namespace)
     code = namespace["_run"]
 
@@ -318,7 +382,7 @@ def _compile(program: Program, tracing: bool) -> Callable[[TestCase, int], Behav
                 trace.append((halt.sid, f"! {halt.kind}"))
         except _Timeout:
             status = STATUS_TIMEOUT
-        return BehaviorToken(output, status, None if trace is None else tuple(trace))
+        return BehaviorToken(output, status, trace)
 
     return run
 

@@ -101,6 +101,27 @@ def test_numeric_tolerance_falls_back_to_text():
     assert d.differs(BehaviorToken("1", status="error"), BehaviorToken("1"))
 
 
+def test_numeric_tolerance_is_exact_past_the_default_context():
+    # the default decimal context overflowed past exponent 999999
+    assert Differentiator.numeric(0.5).differs(BehaviorToken("1e999999999"), BehaviorToken("0"))
+    # ... and rounded the difference to 28 digits, 10**30 + 1 to 10**30
+    far = Differentiator.numeric(1e30)
+    assert far.differs(BehaviorToken("1000000000000000000000000000001"), BehaviorToken("0"))
+    assert not far.differs(BehaviorToken("1000000000000000000000000000000"), BehaviorToken("0"))
+
+
+def test_numeric_tolerance_is_exact_for_operands_far_apart():
+    # a difference whose exact digits would number 10**9 or more
+    half = Differentiator.numeric(0.5)
+    assert half.differs(BehaviorToken("0.5"), BehaviorToken("-1e-999999999"))
+    assert not half.differs(BehaviorToken("0.5"), BehaviorToken("1e-999999999"))
+    assert not half.differs(BehaviorToken("0.5"), BehaviorToken("0"))
+    zero = Differentiator.numeric(0.0)
+    assert zero.differs(BehaviorToken("1e-999999999999999999"), BehaviorToken("0"))
+    assert zero.differs(BehaviorToken("1e999999999999999999"), BehaviorToken("-1e999999999999999999"))
+    assert not zero.differs(BehaviorToken("1e-999999999999999999"), BehaviorToken("1E-999999999999999999"))
+
+
 def test_output_policy_sees_status():
     strong = Differentiator.output_only()
     assert strong.differs(BehaviorToken("", status="timeout"), BehaviorToken(""))

@@ -6,7 +6,7 @@ from click.testing import CliRunner
 
 from mutspace.cli import main
 from helpers import FOUR_MUTANT_CSV, MAX_SRC, three_program_matrix
-from mutspace import matrix_to_json_text
+from mutspace import matrix_from_outputs, matrix_to_json_text
 
 # min-where-max-was-meant: the fault sits in the if condition (statement 2)
 FAULTY_SRC = """r = a;
@@ -291,6 +291,19 @@ def test_analyze_dvector_schema_violation_names_the_path(runner, tmp_path):
     )
     assert result.exit_code == 2
     assert "/cells/m/t1/status" in result.stderr
+
+
+def test_analyze_dvector_numeric_policy_on_huge_outputs(runner, tmp_path):
+    matrix = tmp_path / "big.json"
+    outputs = {"a": ["1e999999999", "2", "1e-999999999"], "b": ["0", "2.4", "0"]}
+    matrix.write_text(matrix_to_json_text(matrix_from_outputs(["t1", "t2", "t3"], outputs)))
+    result = runner.invoke(
+        main,
+        ["analyze", "dvector", str(matrix), "--left", "a", "--right", "b",
+         "--policy", "numeric", "--epsilon", "0.5"],
+    )
+    assert result.exit_code == 0
+    assert json.loads(result.output)["bits"] == [1, 0, 0]
 
 
 def test_unknown_policy_rejected_before_reading_files(runner, tmp_path):

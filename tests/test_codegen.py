@@ -4,8 +4,13 @@ The interpreter generates Python code, so each case below is a way the
 generated text could go wrong: a toy name that means something to Python,
 a comparison Python would chain, an expression as deep as the parser
 allows, a literal Python cannot print, a halt deep inside a hoisted
-function, and step counting across hoisted functions.
+function, step counting across hoisted functions, variables that live in
+Python locals, and the helpers behind ``/`` and ``%``.
 """
+import itertools
+import math
+from fractions import Fraction
+
 import pytest
 
 from mutspace.lang import Assign, TestCase, execute, parse
@@ -185,3 +190,77 @@ def test_a_while_check_that_halts_names_the_while():
     assert tok.trace[-2:] == ((3, "i=2"), (2, "! division by zero"))
     tok = run_src("i = 0; while (i < 2 || nope) { i = i + 1; } return i;", tracing=True)
     assert tok.trace[-2:] == ((3, "i=2"), (2, "! unbound variable: nope"))
+
+
+@pytest.mark.parametrize("tracing", [False, True])
+def test_an_unbound_read_after_a_short_circuit_names_its_own_variable(tracing):
+    # a is 0, so b is never read: the halt names c
+    tok = run_src("a = 0; x = (a && b) + c; return x;", tracing=tracing)
+    assert (tok.status, tok.output) == ("error", "unbound variable: c")
+    tok = run_src("a = 1; x = (a || b) + c; return x;", tracing=tracing)
+    assert (tok.status, tok.output) == ("error", "unbound variable: c")
+    tok = run_src("a = 1; x = (a && b) + c; return x;", tracing=tracing)
+    assert (tok.status, tok.output) == ("error", "unbound variable: b")
+    if tracing:
+        assert tok.trace == ((1, "a=1"), (2, "! unbound variable: b"))
+
+
+@pytest.mark.parametrize("tracing", [False, True])
+def test_unbound_read_in_a_function_hoisted_ten_levels_deep(tracing):
+    # w0..w9 and k are bound, nope is not; the read sits in a hoisted function
+    source = "k = 1; " + nest("y = k + w0; x = y + nope;", 10) + " return x;"
+    program = parse(source)
+    sid = next(s.sid for s in program.walk_statements() if isinstance(s, Assign) and s.name == "x")
+    tok = execute(program, TestCase("t", zeros(10)), tracing=tracing)
+    assert (tok.status, tok.output) == ("error", "unbound variable: nope")
+    if tracing:
+        assert tok.trace[-2:] == (
+            (sid - 1, store(k=1, y=2, **{f"w{i}": 1 if i % 2 == 0 else 0 for i in range(10)})),
+            (sid, "! unbound variable: nope"),
+        )
+
+
+@pytest.mark.parametrize("tracing", [False, True])
+@pytest.mark.parametrize("depth", [10, 20])
+def test_variables_assigned_in_hoisted_functions_are_read_after_they_return(depth, tracing):
+    # y is bound before, z only inside; 20 levels hoist a function inside a hoisted one
+    source = "k = 5; y = 1; " + nest("y = y + k; z = y * 2;", depth) + " return y * 100 + z;"
+    tok = run_src(source, tracing=tracing, **zeros(depth))
+    assert (tok.status, tok.output) == ("normal", "612")
+    # the else arm of the outermost if leaves z unbound
+    tok = run_src(source, tracing=tracing, **{**zeros(depth), "w1": 1})
+    assert (tok.status, tok.output) == ("error", "unbound variable: z")
+
+
+def truncated(a, b):
+    q = math.trunc(Fraction(a, b))
+    return q, a - b * q
+
+
+BIG = 2**64
+DIVIDENDS = [0, 1, 2, 6, 7, BIG - 1, BIG, BIG + 3, 3**50, 2**200 + 1]
+DIVISORS = [1, 2, 3, 7, BIG - 1, BIG, BIG + 1, 3**50, 2**130]
+
+
+@pytest.mark.parametrize("tracing", [False, True])
+def test_division_and_remainder_truncate_over_signs_and_big_operands(tracing):
+    quotient, remainder = parse("return a / b;"), parse("return a % b;")
+    signed = lambda values: [s * v for v in values for s in (1, -1)]
+    for a, b in itertools.product(signed(DIVIDENDS), signed(DIVISORS)):
+        test = TestCase("t", {"a": a, "b": b})
+        q, r = truncated(a, b)
+        assert execute(quotient, test, tracing=tracing).output == str(q), (a, b)
+        assert execute(remainder, test, tracing=tracing).output == str(r), (a, b)
+    for a in signed(DIVIDENDS):
+        test = TestCase("t", {"a": a, "b": 0})
+        assert execute(quotient, test, tracing=tracing).output == "division by zero"
+        assert execute(remainder, test, tracing=tracing).output == "modulo by zero"
+
+
+@pytest.mark.parametrize("tracing", [False, True])
+def test_division_of_literals_past_64_bits(tracing):
+    big = 2**70 + 5
+    for a, b in [(big, 3), (-big, 3), (big, -(2**65)), (7, big), (-7, -big)]:
+        source = f"return ({a}) / ({b}) * 1000 + ({a}) % ({b});"
+        q, r = truncated(a, b)
+        assert run_src(source, tracing=tracing).output == str(q * 1000 + r), (a, b)

@@ -8,7 +8,8 @@ cost stays small however the program multiplies.
 
 ``reference`` is a plain tree-walking interpreter written from the
 language's documented semantics; every token ``execute`` makes, trace
-included, must equal the one it makes.
+included, must equal the one it makes.  Every mutant ``mutate_all`` makes
+must be what ``apply_descriptor`` makes of its descriptor.
 """
 import dataclasses
 import itertools
@@ -29,6 +30,7 @@ from mutspace.lang import (
     UnaryOp,
     Var,
     While,
+    apply_descriptor,
     behavior_matrix,
     execute,
     mutate_all,
@@ -223,3 +225,15 @@ def test_matrix_rows_equal_per_cell_execution(program, suite, budget, tracing):
     for pid, prog in [("original", program)] + [(d.id, m) for d, m in mutants]:
         for test in suite:
             assert bm.token(pid, test.id) == execute(prog, test, budget, tracing)
+
+
+@settings(FUZZ, max_examples=30)
+@given(programs)
+def test_apply_descriptor_reproduces_every_mutant(program):
+    mutants = mutate_all(program)
+    assert [d.id for d, _ in mutants] == [f"m{i}" for i in range(1, len(mutants) + 1)]
+    source = parse(render(program))  # the program as read back from its text
+    for desc, mutant in mutants:
+        assert mutant != program
+        assert apply_descriptor(program, desc) == mutant
+        assert apply_descriptor(source, desc) == mutant
