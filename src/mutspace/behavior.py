@@ -406,9 +406,24 @@ def unpack_bits(mask: int, n: int) -> tuple[int, ...]:
     return tuple(mask >> i & 1 for i in range(n))
 
 
-def select(mask: int, items: Iterable) -> tuple:
+def iter_bits(mask: int) -> Iterator[int]:
+    """Indices of the set bits of a nonnegative ``mask``, ascending.
+
+    One scan of the binary text finds each bit, so the cost follows the
+    set bits rather than the width times the set bits.
+    """
+    if mask < 0:
+        raise ValueError("mask must be nonnegative")
+    text = bin(mask)[:1:-1]  # bit i is text[i]
+    i = text.find("1")
+    while i >= 0:
+        yield i
+        i = text.find("1", i + 1)
+
+
+def select(mask: int, items: Sequence) -> tuple:
     """The items whose bits are set in ``mask``, in order."""
-    return tuple(x for i, x in enumerate(items) if mask >> i & 1)
+    return tuple(items[i] for i in iter_bits(mask & ((1 << len(items)) - 1)))
 
 
 def diff_vector(

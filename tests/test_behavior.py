@@ -20,6 +20,7 @@ from mutspace import (
     matrix_to_json_text,
     mutation_adequacy,
 )
+from mutspace.behavior import iter_bits, select
 from helpers import hamming_distance_of_rows, three_program_matrix
 
 EXACT = Differentiator.exact()
@@ -201,6 +202,22 @@ def test_norm_equals_hamming_distance(seed, n_tests, alphabet):
             assert manhattan_norm(v) == hamming_distance_of_rows(
                 bm, bm.tests, px, py, EXACT
             )
+
+
+@given(st.integers(0, 2**200))
+@settings(max_examples=200, derandomize=True)
+def test_iter_bits_lists_the_set_bits_in_order(mask):
+    assert list(iter_bits(mask)) == [i for i in range(mask.bit_length()) if mask >> i & 1]
+    items = tuple(range(150))
+    assert select(mask, items) == tuple(i for i in items if mask >> i & 1)
+
+
+def test_iter_bits_refuses_a_negative_mask_and_select_reads_its_low_bits():
+    with pytest.raises(ValueError, match="nonnegative"):
+        next(iter_bits(-1))
+    assert select(-1, "abc") == ("a", "b", "c")
+    assert select(~0b010, "abcd") == ("a", "c", "d")
+    assert select(0b1000, "abc") == ()
 
 
 # --- derived oracle -------------------------------------------------------------

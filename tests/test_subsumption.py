@@ -1,7 +1,10 @@
 import itertools
 import random
+import time
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from mutspace import (
     Differentiator,
@@ -89,6 +92,27 @@ def test_csv_rejects_malformed_input():
         KillMatrix.from_csv("test,m1\nt1,x\n")
 
 
+def test_cells_are_stored_as_the_ints_0_and_1():
+    km = KillMatrix(TestVector(("t1", "t2")), ("a", "b"), ((True, False), (1, 0)))
+    assert km.bits == ((1, 0), (1, 0))
+    assert all(type(b) is int for row in km.bits for b in row)
+    assert km.to_csv() == "test,a,b\nt1,1,0\nt2,1,0\n"
+    assert KillMatrix.from_csv(km.to_csv()) == km
+
+
+@pytest.mark.parametrize("cell", [1.0, 0.0, "1", 2, -1, None, b"\x01"])
+def test_constructor_rejects_cells_other_than_0_and_1(cell):
+    with pytest.raises(ValueError, match="0 or 1"):
+        KillMatrix(TestVector(("t1", "t2")), ("a", "b"), ((1, 0), (cell, 1)))
+
+
+@pytest.mark.parametrize("cell", [" 1", "1 ", "+0", "-0", "00", "01", "\u0967", "", "True"])
+def test_csv_accepts_only_the_text_0_and_1(cell):
+    text = f"test,a,b\nt1,1,0\nt2,0,{cell}\n"
+    with pytest.raises(ValueError, match="line 3: cells must be 0 or 1"):
+        KillMatrix.from_csv(text)
+
+
 def test_csv_round_trips_ids_with_commas_and_quotes():
     km = KillMatrix(
         TestVector(("t,1", 't"2')), ("a,b", 'x"y', "plain"), ((1, 0, 1), (0, 1, 1))
@@ -171,6 +195,119 @@ def test_dmsg_closure_matches_brute_force_on_random_matrices():
             else:
                 # a live mutant neither subsumes nor is subsumed
                 assert expected is False
+
+
+def columns_matrix(n, columns):
+    """Kill matrix over ``n`` tests whose mutant j has kill mask columns[j]."""
+    tests = TestVector(tuple(f"t{i + 1}" for i in range(n)))
+    mutants = tuple(f"m{j + 1}" for j in range(len(columns)))
+    rows = tuple(tuple(c >> i & 1 for c in columns) for i in range(n))
+    return KillMatrix(tests, mutants, rows)
+
+
+def brute_force_dmsg(n, columns):
+    """Classes, transitive-reduction edges, live and roots from the
+    definitions, pairwise over sets of killing tests."""
+    kills = [frozenset(i for i in range(n) if c >> i & 1) for c in columns]
+    groups = {}
+    for j, k in enumerate(kills):
+        if k:
+            groups.setdefault(k, []).append(f"m{j + 1}")
+    sets = list(groups)
+    live = tuple(f"m{j + 1}" for j, k in enumerate(kills) if not k)
+    sub = {(i, j) for i, a in enumerate(sets) for j, b in enumerate(sets) if a < b}
+    edges = sorted(
+        (i, j) for i, j in sub
+        if not any((i, k) in sub and (k, j) in sub for k in range(len(sets)))
+    )
+    roots = tuple(j for j in range(len(sets)) if not any((i, j) in sub for i in range(len(sets))))
+    return [tuple(groups[k]) for k in sets], edges, live, roots
+
+
+@st.composite
+def kill_columns(draw):
+    """(n, columns) with zero, duplicate, sparse, dense and arbitrary columns."""
+    n = draw(st.integers(0, 80))
+    full = (1 << n) - 1
+    few_tests = st.sets(st.integers(0, max(n - 1, 0)), max_size=3).map(
+        lambda ts: sum(1 << t for t in ts) & full
+    )
+    columns = []
+    for _ in range(draw(st.integers(0, 24))):
+        kind = draw(st.sampled_from(["zero", "copy", "sparse", "dense", "any"]))
+        if kind == "copy" and columns:
+            columns.append(draw(st.sampled_from(columns)))
+        elif kind == "sparse":
+            columns.append(draw(few_tests))
+        elif kind == "dense":
+            columns.append(full & ~draw(few_tests))
+        elif kind == "any":
+            columns.append(draw(st.integers(0, full)))
+        else:
+            columns.append(0)
+    return n, columns
+
+
+# 70 tests, 5 classes: the dense class has 67 killing tests (more than there
+# are classes), the sparse ones fewer, so both halves of the kernel run.
+_BOTH_RULES = (70, [(1 << 70) - 8, 1, 3, 0, 1 | 1 << 69, 3, 1 << 68])
+
+
+@settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[HealthCheck.too_slow],
+)
+@given(kill_columns())
+@example(_BOTH_RULES)
+@example((0, []))
+@example((0, [0, 0]))
+@example((3, []))
+def test_dmsg_and_minimal_set_match_a_pairwise_brute_force(case):
+    n, columns = case
+    km = columns_matrix(n, columns)
+    members, edges, live, roots = brute_force_dmsg(n, columns)
+    graph = build_dmsg(km)
+    assert [cls.members for cls in graph.classes] == members
+    assert list(graph.edges) == edges
+    assert graph.live == live
+    assert graph.roots() == roots
+    result = minimal_mutant_set(km)
+    assert result.minimal == tuple(members[i][0] for i in roots)
+    assert result.roots == tuple(graph.classes[i] for i in roots)
+    assert result.live == live
+    killed = sum(map(len, members))
+    assert result.reduction_ratio == (len(roots) / killed if killed else 0.0)
+
+
+def test_dmsg_scales_to_the_full_cube_and_to_thousands_of_mutants():
+    # every nonzero column of n = 10: the DMSG is the cube's cover relation
+    n = 10
+    dense = list(range(1, 2**n))
+    random.Random(10).shuffle(dense)
+    km = columns_matrix(n, dense)
+    start = time.perf_counter()
+    graph = build_dmsg(km)
+    result = minimal_mutant_set(km)
+    assert time.perf_counter() - start < 5.0
+    assert len(graph.classes) == 2**n - 1
+    assert len(graph.edges) == n * 2 ** (n - 1) - n
+    assert len(result.minimal) == n
+
+    # n = 64, M = 5,000, p = 0.05; the counts were pinned with the earlier
+    # pairwise kernel, which took about 15 s on this matrix
+    rng = random.Random(64_5000)
+    sparse = [
+        sum(1 << i for i in range(64) if rng.random() < 0.05) for _ in range(5000)
+    ]
+    km = columns_matrix(64, sparse)
+    start = time.perf_counter()
+    graph = build_dmsg(km)
+    result = minimal_mutant_set(km)
+    assert time.perf_counter() - start < 5.0
+    assert (len(graph.classes), len(graph.edges), len(graph.live)) == (3957, 13530, 180)
+    assert len(result.minimal) == 64
 
 
 def test_dmsg_dot_lists_class_members():
