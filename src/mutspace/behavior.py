@@ -658,4 +658,6 @@ def matrix_from_json_text(text: str) -> BehaviorMatrix:
         obj = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError("/", f"invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:  # nested deeper than the decoder recurses
+        raise SchemaError("/", f"invalid JSON: {exc}") from None
     return matrix_from_json_obj(obj)

@@ -21,6 +21,10 @@ import click
 
 from . import __version__, lang
 from .behavior import (
+    POLICIES,
+    POLICY_EXACT,
+    POLICY_NUMERIC,
+    POLICY_OUTPUT,
     Differentiator,
     TestVector,
     diff_vector,
@@ -28,9 +32,17 @@ from .behavior import (
     matrix_from_outputs,
     matrix_to_json_text,
 )
-from .errors import CapacityError, ParseError, RoleError, SchemaError, UnknownIdError
+from .errors import CapacityError, MutspaceError, RoleError
 from .lattice import PositionLattice, build_lattice, lattice_to_dot
-from .mbfl import FaultLocalizationInput, rank_statements, report_to_json_text
+from .mbfl import (
+    METHOD_FIX,
+    METHOD_FLT,
+    METRIC_OCHIAI,
+    METRICS,
+    FaultLocalizationInput,
+    rank_statements,
+    report_to_json_text,
+)
 from .space import ProgramSpace, coincidence_counterexample
 from .subsumption import (
     KillMatrix,
@@ -46,12 +58,12 @@ EXIT_CAPACITY = 4
 
 BUDGET_ENV = "MUTSPACE_BUDGET"
 
-POLICY_CHOICES = click.Choice(["exact", "output", "trace", "numeric"])
+POLICY_CHOICES = click.Choice(POLICIES)
 
 
 def _differentiator(policy: str, epsilon: Optional[float]) -> Differentiator:
     """The differentiator for a policy option; unknown names never get past click."""
-    if policy == "numeric":
+    if policy == POLICY_NUMERIC:
         if epsilon is None:
             raise click.UsageError("--policy numeric requires --epsilon")
         try:
@@ -82,30 +94,18 @@ def _die(code: int, message: str) -> None:
     sys.exit(code)
 
 
-def _read_text(path: str) -> str:
+def _load(path: str, parse=json.loads):
+    """``parse`` applied to the file's UTF-8 text; a failure to read, decode
+    or parse it (JSON nested past the decoder's recursion limit too) is an
+    input error that names the file."""
     try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        _die(EXIT_INPUT, f"cannot read {path}: {exc}")
-
-
-def _load(path: str, parse, error=ValueError):
-    """``parse`` applied to the file's text; its ``error`` is an input error."""
-    try:
-        return parse(_read_text(path))
-    except error as exc:
+        return parse(Path(path).read_text(encoding="utf-8"))
+    except (OSError, MutspaceError, ValueError, RecursionError) as exc:
         _die(EXIT_INPUT, f"{path}: {exc}")
 
 
-def _load_json(path: str):
-    try:
-        return json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
-        _die(EXIT_INPUT, f"{path}: invalid JSON: {exc.msg}")
-
-
 def _load_tests(path: str) -> list[lang.TestCase]:
-    raw = _load_json(path)
+    raw = _load(path)
     if not isinstance(raw, list):
         _die(EXIT_INPUT, f"{path}: test suite must be a JSON list")
     tests = []
@@ -122,7 +122,7 @@ def _load_tests(path: str) -> list[lang.TestCase]:
 
 
 def _load_expected(path: str) -> dict[str, str]:
-    raw = _load_json(path)
+    raw = _load(path)
     if not isinstance(raw, dict) or not all(isinstance(v, str) for v in raw.values()):
         _die(EXIT_INPUT, f"{path}: expected-output file must map test ids to strings")
     return dict(raw)
@@ -131,27 +131,20 @@ def _load_expected(path: str) -> dict[str, str]:
 def _mutants(program: lang.Program, operators: str):
     """Every mutant of ``program`` under a comma-separated operator list."""
     ops = tuple(op.strip() for op in operators.split(",") if op.strip())
-    try:
-        return lang.mutate_all(program, ops)
-    except ValueError as exc:
-        _die(EXIT_INPUT, str(exc))
+    return lang.mutate_all(program, ops)
 
 
 def _execute(program_path, tests_path, expected_path, operators, tracing, budget):
     """Mutate the program and run it and every mutant on the tests; the
     behavior matrix carries a spec row when expected outputs are given."""
     budget = _budget(budget)
-    program = _load(program_path, lang.parse, ParseError)
+    program = _load(program_path, lang.parse)
     tests = _load_tests(tests_path)
     expected = _load_expected(expected_path) if expected_path else None
     mutants = _mutants(program, operators)
-    try:
-        matrix = lang.behavior_matrix(
-            program, mutants, tests, tracing=tracing, budget=budget, expected=expected
-        )
-    except ValueError as exc:
-        _die(EXIT_INPUT, str(exc))
-    return mutants, matrix
+    return mutants, lang.behavior_matrix(
+        program, mutants, tests, tracing=tracing, budget=budget, expected=expected
+    )
 
 
 @contextmanager
@@ -175,7 +168,21 @@ def _print_json(obj) -> None:
     click.echo(json.dumps(obj, indent=2) + "\n", nl=False)
 
 
-@click.group()
+class _Main(click.Group):
+    """Ends a command that raised a library error with that error's exit code."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except RoleError as exc:
+            _die(EXIT_ROLE, str(exc))
+        except CapacityError as exc:
+            _die(EXIT_CAPACITY, str(exc))
+        except (MutspaceError, ValueError) as exc:
+            _die(EXIT_INPUT, str(exc))
+
+
+@click.group(cls=_Main)
 @click.version_option(__version__, prog_name="mutspace")
 def main():
     """Difference-based mutation analysis over behavior matrices."""
@@ -197,7 +204,7 @@ def main():
 )
 def mutate(source, operators, out_dir):
     """List every applicable single-site mutant of SOURCE."""
-    mutants = _mutants(_load(source, lang.parse, ParseError), operators)
+    mutants = _mutants(_load(source, lang.parse), operators)
     if out_dir is not None:
         directory = Path(out_dir)
         with _writing(out_dir):
@@ -274,29 +281,20 @@ def dmsg(kills, out):
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
 def pdl(dimension, as_dot, out):
     """Full position lattice of the given dimension, as DOT."""
-    try:
-        lattice = build_lattice(dimension)
-    except CapacityError as exc:
-        _die(EXIT_CAPACITY, str(exc))
-    except ValueError as exc:
-        _die(EXIT_INPUT, str(exc))
-    _emit(lattice_to_dot(lattice), out)
+    _emit(lattice_to_dot(build_lattice(dimension)), out)
 
 
 @analyze.command()
 @click.argument("matrix", type=click.Path(exists=True, dir_okay=False))
 @click.option("--left", required=True, help="program id")
 @click.option("--right", required=True, help="program id")
-@click.option("--policy", type=POLICY_CHOICES, default="exact", show_default=True)
+@click.option("--policy", type=POLICY_CHOICES, default=POLICY_EXACT, show_default=True)
 @click.option("--epsilon", type=float, default=None)
 def dvector(matrix, left, right, policy, epsilon):
     """Difference vector between two programs of a behavior matrix."""
     d = _differentiator(policy, epsilon)
-    bm = _load(matrix, matrix_from_json_text, SchemaError)
-    try:
-        v = diff_vector(d, bm.tests, left, right, bm)
-    except UnknownIdError as exc:
-        _die(EXIT_INPUT, str(exc))
+    bm = _load(matrix, matrix_from_json_text)
+    v = diff_vector(d, bm.tests, left, right, bm)
     _print_json({"tests": list(v.tests), "bits": list(v.bits), "norm": v.norm()})
 
 
@@ -308,9 +306,9 @@ def dvector(matrix, left, right, policy, epsilon):
 @click.option("--tests", "tests_path", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--expected", "expected_path", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--operators", default=",".join(lang.ALL_OPERATORS), show_default=True)
-@click.option("--method", type=click.Choice(["fix", "flt"]), default="fix", show_default=True)
-@click.option("--metric", type=click.Choice(["ochiai", "jaccard"]), default="ochiai", show_default=True)
-@click.option("--policy", type=POLICY_CHOICES, default="output", show_default=True)
+@click.option("--method", type=click.Choice([METHOD_FIX, METHOD_FLT]), default=METHOD_FIX, show_default=True)
+@click.option("--metric", type=click.Choice(METRICS), default=METRIC_OCHIAI, show_default=True)
+@click.option("--policy", type=POLICY_CHOICES, default=POLICY_OUTPUT, show_default=True)
 @click.option("--epsilon", type=float, default=None)
 @click.option("--budget", type=int, default=None)
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
@@ -324,9 +322,9 @@ def mbfl(matrix_path, statements_path, program_path, tests_path, expected_path,
     d = _differentiator(policy, epsilon)
     statements: dict[str, object] = {}
     if matrix_path is not None:
-        bm = _load(matrix_path, matrix_from_json_text, SchemaError)
+        bm = _load(matrix_path, matrix_from_json_text)
         if statements_path is not None:
-            raw = _load_json(statements_path)
+            raw = _load(statements_path)
             if not isinstance(raw, dict):
                 _die(EXIT_INPUT, f"{statements_path}: must map mutant ids to statements")
             for key, value in raw.items():
@@ -343,18 +341,13 @@ def mbfl(matrix_path, statements_path, program_path, tests_path, expected_path,
         statements = {desc.id: desc.statement for desc, _ in mutants}
     else:
         raise click.UsageError("pass either --matrix or --program")
-    try:
-        inp = FaultLocalizationInput(
-            matrix=bm,
-            mutants=tuple((m, statements.get(m)) for m in bm.mutant_ids()),
-            tests=bm.tests,
-            differentiator=d,
-        )
-        report = rank_statements(inp, method, metric)
-    except RoleError as exc:
-        _die(EXIT_ROLE, str(exc))
-    except ValueError as exc:
-        _die(EXIT_INPUT, str(exc))
+    inp = FaultLocalizationInput(
+        matrix=bm,
+        mutants=tuple((m, statements.get(m)) for m in bm.mutant_ids()),
+        tests=bm.tests,
+        differentiator=d,
+    )
+    report = rank_statements(inp, method, metric)
     _emit(report_to_json_text(report, statements), out)
 
 

@@ -89,7 +89,9 @@ from ..behavior import (
     ProgramEntry,
     TestVector,
 )
-from .syntax import Assign, BinOp, Expr, If, IntLit, Program, Return, Stmt, UnaryOp, Var, While
+from .syntax import (
+    REL_OPS, Assign, BinOp, Expr, If, IntLit, Program, Return, Stmt, UnaryOp, Var, While,
+)
 
 DEFAULT_BUDGET = 100_000
 _TOO_LARGE = "integer too large"
@@ -206,24 +208,8 @@ _RUNTIME = {
 # --- code generation --------------------------------------------------------------
 
 _ARITH = {"+", "-", "*"}
-_COMPARE = {"<", "<=", ">", ">=", "==", "!="}
 _LOGIC = {"&&": "and", "||": "or"}
 _HALTING = {"/": "_div", "%": "_mod"}  # helpers that halt on a zero divisor
-
-
-def _hoists(stmts: Sequence[Stmt], depth: int = 0) -> bool:
-    """Whether some compound statement in ``stmts`` lies ``_HOIST_DEPTH`` or
-    more levels deep, so that it moves into a generated function of its own."""
-    for s in stmts:
-        if isinstance(s, If):
-            bodies: tuple[Sequence[Stmt], ...] = (s.then_body, s.else_body)
-        elif isinstance(s, While):
-            bodies = (s.body,)
-        else:
-            continue
-        if depth >= _HOIST_DEPTH or any(_hoists(body, depth + 1) for body in bodies):
-            return True
-    return False
 
 
 class _Source:
@@ -320,7 +306,7 @@ class _Source:
 
     def test(self, expr: Expr, sid: int) -> str:
         """Code whose truth is that of ``expr``, as one bracketed term."""
-        if isinstance(expr, BinOp) and (expr.op in _COMPARE or expr.op in _LOGIC):
+        if isinstance(expr, BinOp) and (expr.op in REL_OPS or expr.op in _LOGIC):
             return f"({self.relation(expr, sid)})"
         if isinstance(expr, UnaryOp) and expr.op == "!":
             return f"(not {self.test(expr.operand, sid)})"
@@ -360,9 +346,13 @@ class _Source:
 
 def _compile(program: Program, tracing: bool) -> Callable[[TestCase, int], BehaviorToken]:
     """Compile ``program`` once; the result runs it on one test."""
-    # env is read back only for store text and by hoisted functions
-    source = _Source(tracing, write_through=tracing or _hoists(program.statements))
+    # env is read back only for store text and by hoisted functions; whether
+    # a function is hoisted is known once the code is generated, so regenerate
+    source = _Source(tracing, write_through=tracing)
     source.function("_run", program.statements)
+    if source.hoisted and not tracing:
+        source = _Source(tracing, write_through=True)
+        source.function("_run", program.statements)
     names = {local: toy for toy, local in source.locals.items()}
     namespace = dict(_RUNTIME, _names=names, **source.consts)
     exec(compile("\n".join(source.functions), "<mutspace program>", "exec"), namespace)

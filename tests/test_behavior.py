@@ -337,9 +337,12 @@ def test_schema_error_paths():
         matrix_from_json_text(json.dumps(bad))
     assert err.value.path == "/programs/0/role"
 
-    with pytest.raises(SchemaError) as err:
-        matrix_from_json_text("not json")
-    assert err.value.path == "/"
+    # malformed, and nested past the JSON decoder's recursion limit
+    for text in ("not json", "[" * 200_000 + "]" * 200_000):
+        with pytest.raises(SchemaError) as err:
+            matrix_from_json_text(text)
+        assert err.value.path == "/"
+        assert err.value.message.startswith("invalid JSON: ")
 
 
 def test_schema_rejects_duplicate_role():

@@ -427,6 +427,92 @@ def test_write_failure_exits_2(runner, tmp_path, command):
     assert f"error: cannot write {path}: " in result.stderr
 
 
+# --- failure paths ---------------------------------------------------------------
+
+DEEP_JSON = "[" * 200_000 + "]" * 200_000  # past the JSON decoder's recursion limit
+
+
+def write_failure_inputs(tmp_path):
+    """The files the failure table names, by placeholder."""
+    program, tests, expected = write_faulty_inputs(tmp_path)
+    files = {"program": program, "tests": tests, "expected": expected}
+    contents = {
+        "matrix": matrix_to_json_text(three_program_matrix()),
+        "deep": DEEP_JSON,
+        "not_list": json.dumps({"T1": {"a": 1}}),
+        "no_id": json.dumps([{"inputs": {"a": 1}}]),
+        "not_map": json.dumps(["5"]),
+        "missing_test": json.dumps({"T1": "5"}),
+    }
+    for name, text in contents.items():
+        files[name] = tmp_path / f"{name}.json"
+        files[name].write_text(text)
+    files["latin1"] = tmp_path / "latin1.txt"
+    files["latin1"].write_bytes("caf\u00e9 = 1;\nreturn caf\u00e9;\n".encode("latin-1"))
+    return files
+
+
+RUN_TESTS = ["run", "--program", "{program}", "--tests"]  # the tests file follows
+RUN = RUN_TESTS + ["{tests}"]
+DVECTOR = ["analyze", "dvector", "{matrix}", "--left", "ps", "--right", "po"]
+NOT_UTF8 = "'utf-8' codec can't decode"
+TOO_DEEP = "maximum recursion depth exceeded"
+
+# every failure is an input error, exit 2: (args, environment, what stderr says);
+# {name} is a file above
+FAILURES = {
+    "numeric_without_epsilon": (DVECTOR + ["--policy", "numeric"], {},
+                                "--policy numeric requires --epsilon"),
+    "budget_env_not_int": (RUN, {"MUTSPACE_BUDGET": "lots"},
+                           "MUTSPACE_BUDGET must be an integer, got 'lots'"),
+    "tests_not_list": (RUN_TESTS + ["{not_list}"], {},
+                       "error: {not_list}: test suite must be a JSON list"),
+    "test_without_id": (RUN_TESTS + ["{no_id}"], {},
+                        "error: {no_id}: /0: each test needs 'id' and 'inputs'"),
+    "expected_not_map": (RUN + ["--expected", "{not_map}"], {},
+                         "error: {not_map}: expected-output file must map test ids"),
+    "expected_misses_test": (RUN + ["--expected", "{missing_test}"], {},
+                             "error: expected outputs missing for tests ['T2'"),
+    "unknown_operator": (RUN + ["--operators", "ROR,XYZ"], {},
+                         "error: unknown mutation operators ['XYZ']"),
+    "pdl_negative": (["analyze", "pdl", "--n", "-1"], {},
+                     "error: dimension must be nonnegative"),
+    "statements_not_map": (["mbfl", "--matrix", "{matrix}", "--statements", "{not_map}"], {},
+                           "error: {not_map}: must map mutant ids to statements"),
+    "mbfl_program_alone": (["mbfl", "--program", "{program}", "--tests", "{tests}"], {},
+                           "--program mode requires --tests and --expected"),
+    "mbfl_no_mode": (["mbfl"], {}, "pass either --matrix or --program"),
+    "run_program_not_utf8": (["run", "--program", "{latin1}", "--tests", "{tests}"], {},
+                             "error: {latin1}: " + NOT_UTF8),
+    "run_tests_not_utf8": (RUN_TESTS + ["{latin1}"], {}, "error: {latin1}: " + NOT_UTF8),
+    "mutate_not_utf8": (["mutate", "{latin1}"], {}, "error: {latin1}: " + NOT_UTF8),
+    "dvector_not_utf8": (["analyze", "dvector", "{latin1}", "--left", "a", "--right", "b"], {},
+                         "error: {latin1}: " + NOT_UTF8),
+    "mbfl_matrix_not_utf8": (["mbfl", "--matrix", "{latin1}"], {},
+                             "error: {latin1}: " + NOT_UTF8),
+    "run_tests_too_deep": (RUN_TESTS + ["{deep}"], {}, "error: {deep}: " + TOO_DEEP),
+    "run_expected_too_deep": (RUN + ["--expected", "{deep}"], {},
+                              "error: {deep}: " + TOO_DEEP),
+    "dvector_too_deep": (["analyze", "dvector", "{deep}", "--left", "a", "--right", "b"], {},
+                         "error: {deep}: /: invalid JSON: " + TOO_DEEP),
+    "mbfl_matrix_too_deep": (["mbfl", "--matrix", "{deep}"], {},
+                             "error: {deep}: /: invalid JSON: " + TOO_DEEP),
+    "statements_too_deep": (["mbfl", "--matrix", "{matrix}", "--statements", "{deep}"], {},
+                            "error: {deep}: " + TOO_DEEP),
+}
+
+
+@pytest.mark.parametrize("name", FAILURES)
+def test_failure_exits_2_with_a_message_and_no_traceback(runner, tmp_path, name):
+    args, env, message = FAILURES[name]
+    files = write_failure_inputs(tmp_path)
+    result = runner.invoke(main, [a.format(**files) for a in args], env=env)
+    assert result.exit_code == 2, result.output
+    assert isinstance(result.exception, SystemExit)  # an uncaught error would end in a traceback
+    assert message.format(**files) in result.stderr
+    assert "Traceback" not in result.stderr
+
+
 # --- demo ---------------------------------------------------------------------------
 
 
