@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import Optional
 
 import click
+from click.core import ParameterSource
 
 from . import __version__, lang
 from .behavior import (
@@ -104,28 +105,43 @@ def _load(path: str, parse=json.loads):
         _die(EXIT_INPUT, f"{path}: {exc}")
 
 
-def _load_tests(path: str) -> list[lang.TestCase]:
-    raw = _load(path)
+def _parse_tests(text: str) -> list[lang.TestCase]:
+    raw = json.loads(text)
     if not isinstance(raw, list):
-        _die(EXIT_INPUT, f"{path}: test suite must be a JSON list")
+        raise ValueError("test suite must be a JSON list")
     tests = []
     for i, item in enumerate(raw):
         if not isinstance(item, dict) or "id" not in item or "inputs" not in item:
-            _die(EXIT_INPUT, f"{path}: /{i}: each test needs 'id' and 'inputs'")
+            raise ValueError(f"/{i}: each test needs 'id' and 'inputs'")
         inputs = item["inputs"]
         if not isinstance(inputs, dict) or not all(
             isinstance(v, int) and not isinstance(v, bool) for v in inputs.values()
         ):
-            _die(EXIT_INPUT, f"{path}: /{i}/inputs: must map variables to integers")
+            raise ValueError(f"/{i}/inputs: must map variables to integers")
         tests.append(lang.TestCase(str(item["id"]), dict(inputs)))
+    TestVector(tuple(t.id for t in tests))  # unique ids: 1 and "1" are one id as text
     return tests
 
 
-def _load_expected(path: str) -> dict[str, str]:
-    raw = _load(path)
+def _parse_expected(text: str, tests: list[lang.TestCase]) -> dict[str, str]:
+    raw = json.loads(text)
     if not isinstance(raw, dict) or not all(isinstance(v, str) for v in raw.values()):
-        _die(EXIT_INPUT, f"{path}: expected-output file must map test ids to strings")
-    return dict(raw)
+        raise ValueError("expected-output file must map test ids to strings")
+    missing = [t.id for t in tests if t.id not in raw]
+    if missing:
+        raise ValueError(f"expected outputs missing for tests {missing}")
+    return raw
+
+
+def _parse_statements(text: str) -> dict[str, object]:
+    raw = json.loads(text)
+    if not isinstance(raw, dict):
+        raise ValueError("must map mutant ids to statements")
+    for key, value in raw.items():
+        # bool is an int, but true would rank as, and merge with, statement 1
+        if isinstance(value, bool) or not isinstance(value, (int, str, type(None))):
+            raise ValueError(f"/{key}: must be a string, an integer or null")
+    return raw
 
 
 def _mutants(program: lang.Program, operators: str):
@@ -139,8 +155,10 @@ def _execute(program_path, tests_path, expected_path, operators, tracing, budget
     behavior matrix carries a spec row when expected outputs are given."""
     budget = _budget(budget)
     program = _load(program_path, lang.parse)
-    tests = _load_tests(tests_path)
-    expected = _load_expected(expected_path) if expected_path else None
+    tests = _load(tests_path, _parse_tests)
+    expected = None
+    if expected_path is not None:
+        expected = _load(expected_path, lambda text: _parse_expected(text, tests))
     mutants = _mutants(program, operators)
     return mutants, lang.behavior_matrix(
         program, mutants, tests, tracing=tracing, budget=budget, expected=expected
@@ -298,6 +316,19 @@ def dvector(matrix, left, right, policy, epsilon):
     _print_json({"tests": list(v.tests), "bits": list(v.bits), "norm": v.norm()})
 
 
+def _refuse_options(ctx: click.Context, mode: str, *names: str) -> None:
+    """A usage error if any parameter in ``names`` was given (its value
+    alone cannot tell: --operators has a default)."""
+    given = [
+        param.opts[0]
+        for param in ctx.command.params
+        if param.name in names
+        and ctx.get_parameter_source(param.name) is not ParameterSource.DEFAULT
+    ]
+    if given:
+        raise click.UsageError(f"{mode} mode does not take {', '.join(given)}")
+
+
 @main.command()
 @click.option("--matrix", "matrix_path", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--statements", "statements_path", default=None, type=click.Path(exists=True, dir_okay=False),
@@ -320,19 +351,16 @@ def mbfl(matrix_path, statements_path, program_path, tests_path, expected_path,
     --tests and --expected to generate the matrix first.
     """
     d = _differentiator(policy, epsilon)
+    ctx = click.get_current_context()
     statements: dict[str, object] = {}
     if matrix_path is not None:
+        _refuse_options(ctx, "--matrix", "program_path", "tests_path", "expected_path",
+                        "operators", "budget")
         bm = _load(matrix_path, matrix_from_json_text)
         if statements_path is not None:
-            raw = _load(statements_path)
-            if not isinstance(raw, dict):
-                _die(EXIT_INPUT, f"{statements_path}: must map mutant ids to statements")
-            for key, value in raw.items():
-                # bool is an int, but true would rank as, and merge with, statement 1
-                if isinstance(value, bool) or not isinstance(value, (int, str, type(None))):
-                    _die(EXIT_INPUT, f"{statements_path}: /{key}: must be a string, an integer or null")
-            statements = dict(raw)
+            statements = _load(statements_path, _parse_statements)
     elif program_path is not None:
+        _refuse_options(ctx, "--program", "statements_path")
         if tests_path is None or expected_path is None:
             raise click.UsageError("--program mode requires --tests and --expected")
         mutants, bm = _execute(

@@ -12,13 +12,16 @@ Operators:
 
 Mutants are generated in a fixed order: statement id, then site offset
 within the statement (0 = the statement itself, used by SDL; expression
-sites follow in preorder), then replacement order.  Statement ids are
+sites follow in preorder), then replacement order.  Expression-site
+numbering is defined by ``_sites`` alone: ``mutate_all`` enumerates with
+it and ``apply_descriptor`` rebuilds through it.  Statement ids are
 reused unchanged, so a mutant's statements line up with the original's.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass, replace
+from itertools import islice
+from typing import Callable, Iterable, Iterator, Optional
 
 from .syntax import (
     ARITH_OPS,
@@ -62,30 +65,6 @@ class MutantDescriptor:
     replacement: str
 
 
-def _expr_sites(stmt: Stmt) -> list[Expr]:
-    """The statement's own expressions, preorder, without nested statements."""
-    roots: list[Expr] = []
-    if isinstance(stmt, Assign):
-        roots = [stmt.value]
-    elif isinstance(stmt, Return):
-        roots = [stmt.value]
-    elif isinstance(stmt, (If, While)):
-        roots = [stmt.cond]
-    out: list[Expr] = []
-
-    def walk(e: Expr) -> None:
-        out.append(e)
-        if isinstance(e, BinOp):
-            walk(e.left)
-            walk(e.right)
-        elif isinstance(e, UnaryOp):
-            walk(e.operand)
-
-    for root in roots:
-        walk(root)
-    return out
-
-
 def _replacements(node: Expr) -> list[tuple[str, str, str]]:
     """(operator, original token, replacement token) options for one node."""
     if isinstance(node, BinOp):
@@ -111,29 +90,33 @@ def _replacements(node: Expr) -> list[tuple[str, str, str]]:
     return []
 
 
-def _rewrite_expr(
-    root: Expr, target_index: int, make: Callable[[Expr], Expr]
-) -> Expr:
-    """Rebuild ``root`` with the node at preorder position ``target_index``
-    replaced; positions count all nodes, matching ``_expr_sites`` order."""
-    counter = [-1]
+# the field that holds each mutable statement kind's own expression
+_EXPR_FIELD = {Assign: "value", Return: "value", If: "cond", While: "cond"}
 
-    def go(e: Expr) -> Expr:
-        counter[0] += 1
-        if counter[0] == target_index:
-            return make(e)
-        if isinstance(e, BinOp):
-            left = go(e.left)
-            right = go(e.right)
-            return BinOp(e.op, left, right)
-        if isinstance(e, UnaryOp):
-            return UnaryOp(e.op, go(e.operand))
-        return e
 
-    rebuilt = go(root)
-    if counter[0] < target_index:
-        raise ValueError(f"expression site {target_index + 1} out of range")
-    return rebuilt
+def _expr_field(stmt: Stmt) -> str:
+    try:
+        return _EXPR_FIELD[type(stmt)]
+    except KeyError:
+        raise TypeError(f"cannot mutate {type(stmt).__name__}") from None
+
+
+def _sites(root: Expr) -> Iterator[tuple[Expr, Callable[[Expr], Expr]]]:
+    """``(node, put)`` for every node of ``root`` in preorder, where
+    ``put(x)`` is ``root`` with that node replaced by ``x``.  Expression
+    site k is the k-th pair, counted from 1.
+
+    The walk keeps its own stack, so a long operator chain costs no
+    generator frames, and each ``put`` rebuilds only the nodes above it."""
+    stack: list[tuple[Expr, Callable[[Expr], Expr]]] = [(root, lambda x: x)]
+    while stack:
+        node, put = stack.pop()
+        yield node, put
+        if isinstance(node, BinOp):
+            stack.append((node.right, lambda x, n=node, up=put: up(BinOp(n.op, n.left, x))))
+            stack.append((node.left, lambda x, n=node, up=put: up(BinOp(n.op, x, n.right))))
+        elif isinstance(node, UnaryOp):
+            stack.append((node.operand, lambda x, n=node, up=put: up(UnaryOp(n.op, x))))
 
 
 def _edit_statement(stmts: tuple[Stmt, ...], sid: int, editor) -> tuple[Stmt, ...]:
@@ -145,18 +128,16 @@ def _edit_statement(stmts: tuple[Stmt, ...], sid: int, editor) -> tuple[Stmt, ..
             edited = editor(s)
             if edited is not None:
                 out.append(edited)
-            continue
-        if isinstance(s, If):
+        elif isinstance(s, If):
             out.append(
-                If(
-                    s.sid,
-                    s.cond,
-                    _edit_statement(s.then_body, sid, editor),
-                    _edit_statement(s.else_body, sid, editor),
+                replace(
+                    s,
+                    then_body=_edit_statement(s.then_body, sid, editor),
+                    else_body=_edit_statement(s.else_body, sid, editor),
                 )
             )
         elif isinstance(s, While):
-            out.append(While(s.sid, s.cond, _edit_statement(s.body, sid, editor)))
+            out.append(replace(s, body=_edit_statement(s.body, sid, editor)))
         else:
             out.append(s)
     return tuple(out)
@@ -170,33 +151,28 @@ def apply_descriptor(program: Program, desc: MutantDescriptor) -> Program:
             if desc.operator != OPERATOR_SDL:
                 raise ValueError(f"site 0 is reserved for {OPERATOR_SDL}")
             return None
-
-        def make(node: Expr) -> Expr:
-            if desc.operator == OPERATOR_CRP:
-                if not isinstance(node, IntLit) or str(node.value) != desc.original:
-                    raise ValueError(
-                        f"descriptor does not match site: expected literal {desc.original}"
-                    )
-                return IntLit(int(desc.replacement))
-            if not isinstance(node, BinOp) or node.op != desc.original:
+        field = _expr_field(stmt)
+        site = None
+        if desc.site > 0:
+            site = next(islice(_sites(getattr(stmt, field)), desc.site - 1, None), None)
+        if site is None:
+            raise ValueError(f"expression site {desc.site} out of range")
+        node, put = site
+        if desc.operator == OPERATOR_CRP:
+            if not isinstance(node, IntLit) or str(node.value) != desc.original:
                 raise ValueError(
-                    f"descriptor does not match site: expected operator {desc.original!r}"
+                    f"descriptor does not match site: expected literal {desc.original}"
                 )
-            return BinOp(desc.replacement, node.left, node.right)
+            mutated: Expr = IntLit(int(desc.replacement))
+        elif not isinstance(node, BinOp) or node.op != desc.original:
+            raise ValueError(
+                f"descriptor does not match site: expected operator {desc.original!r}"
+            )
+        else:
+            mutated = BinOp(desc.replacement, node.left, node.right)
+        return replace(stmt, **{field: put(mutated)})
 
-        target = desc.site - 1
-        if isinstance(stmt, Assign):
-            return Assign(stmt.sid, stmt.name, _rewrite_expr(stmt.value, target, make))
-        if isinstance(stmt, Return):
-            return Return(stmt.sid, _rewrite_expr(stmt.value, target, make))
-        if isinstance(stmt, If):
-            return If(stmt.sid, _rewrite_expr(stmt.cond, target, make), stmt.then_body, stmt.else_body)
-        if isinstance(stmt, While):
-            return While(stmt.sid, _rewrite_expr(stmt.cond, target, make), stmt.body)
-        raise TypeError(f"cannot mutate {type(stmt).__name__}")
-
-    before = program.statement_ids()
-    if desc.statement not in before:
+    if desc.statement not in program.statement_ids():
         raise ValueError(f"program has no statement {desc.statement}")
     return Program(_edit_statement(program.statements, desc.statement, edit))
 
@@ -211,24 +187,18 @@ def mutate_all(
     if unknown:
         raise ValueError(f"unknown mutation operators {sorted(unknown)}")
     results: list[tuple[MutantDescriptor, Program]] = []
-    counter = 0
-    for stmt in program.walk_statements():
-        sites: list[tuple[int, str, str, str]] = []
-        if OPERATOR_SDL in enabled:
-            sites.append((0, OPERATOR_SDL, statement_head(stmt), ""))
-        for offset, node in enumerate(_expr_sites(stmt), start=1):
-            for operator, original, replacement in _replacements(node):
-                if operator in enabled:
-                    sites.append((offset, operator, original, replacement))
-        for site, operator, original, replacement in sites:
-            counter += 1
+
+    def add(stmt: Stmt, site: int, operator: str, original: str, replacement: str) -> None:
+        if operator in enabled:
             desc = MutantDescriptor(
-                id=f"m{counter}",
-                operator=operator,
-                statement=stmt.sid,
-                site=site,
-                original=original,
-                replacement=replacement,
+                f"m{len(results) + 1}", operator, stmt.sid, site, original, replacement
             )
             results.append((desc, apply_descriptor(program, desc)))
+
+    for stmt in program.walk_statements():
+        add(stmt, 0, OPERATOR_SDL, statement_head(stmt), "")
+        sites = _sites(getattr(stmt, _expr_field(stmt)))
+        for site, (node, _) in enumerate(sites, start=1):
+            for operator, original, replacement in _replacements(node):
+                add(stmt, site, operator, original, replacement)
     return results

@@ -140,12 +140,10 @@ def project(
         if not 0 <= k <= obj.dimension:
             raise ValueError(f"prefix length {k} out of range 0..{obj.dimension}")
         merged: dict[Node, list[str]] = {}
-        for node in obj.nodes():  # fixed node order keeps coalesced lists stable
-            progs = obj.annotations.get(node)
-            if not progs:
-                continue
-            bucket = merged.setdefault(node[:k], [])
-            for p in progs:
+        # sorted bit tuples are the order nodes() yields: coalesced lists stay stable
+        for node in sorted(obj.annotations):
+            for p in obj.annotations[node]:
+                bucket = merged.setdefault(node[:k], [])
                 if p not in bucket:
                     bucket.append(p)
         return PositionLattice(k, obj.tests[:k], {n: tuple(v) for n, v in merged.items()})

@@ -443,6 +443,9 @@ def write_failure_inputs(tmp_path):
         "no_id": json.dumps([{"inputs": {"a": 1}}]),
         "not_map": json.dumps(["5"]),
         "missing_test": json.dumps({"T1": "5"}),
+        "duplicate_ids": json.dumps([{"id": "T1", "inputs": {}}, {"id": "T1", "inputs": {}}]),
+        "int_and_str_id": json.dumps([{"id": 1, "inputs": {}}, {"id": "1", "inputs": {}}]),
+        "statements": json.dumps({"m": 2}),
     }
     for name, text in contents.items():
         files[name] = tmp_path / f"{name}.json"
@@ -472,7 +475,11 @@ FAILURES = {
     "expected_not_map": (RUN + ["--expected", "{not_map}"], {},
                          "error: {not_map}: expected-output file must map test ids"),
     "expected_misses_test": (RUN + ["--expected", "{missing_test}"], {},
-                             "error: expected outputs missing for tests ['T2'"),
+                             "error: {missing_test}: expected outputs missing for tests ['T2'"),
+    "duplicate_test_ids": (RUN_TESTS + ["{duplicate_ids}"], {},
+                           "error: {duplicate_ids}: test identifiers must be unique"),
+    "int_and_str_test_ids": (RUN_TESTS + ["{int_and_str_id}"], {},
+                             "error: {int_and_str_id}: test identifiers must be unique"),
     "unknown_operator": (RUN + ["--operators", "ROR,XYZ"], {},
                          "error: unknown mutation operators ['XYZ']"),
     "pdl_negative": (["analyze", "pdl", "--n", "-1"], {},
@@ -482,6 +489,21 @@ FAILURES = {
     "mbfl_program_alone": (["mbfl", "--program", "{program}", "--tests", "{tests}"], {},
                            "--program mode requires --tests and --expected"),
     "mbfl_no_mode": (["mbfl"], {}, "pass either --matrix or --program"),
+    **{
+        f"mbfl_matrix_with_{option[2:]}": (
+            ["mbfl", "--matrix", "{matrix}", option, value], {},
+            f"--matrix mode does not take {option}",
+        )
+        for option, value in [("--program", "{program}"), ("--tests", "{tests}"),
+                              ("--expected", "{expected}"), ("--budget", "10"),
+                              # the default value, given explicitly
+                              ("--operators", "AOR,ROR,LCR,CRP,SDL")]
+    },
+    "mbfl_program_with_statements": (
+        ["mbfl", "--program", "{program}", "--tests", "{tests}", "--expected", "{expected}",
+         "--statements", "{statements}"], {},
+        "--program mode does not take --statements",
+    ),
     "run_program_not_utf8": (["run", "--program", "{latin1}", "--tests", "{tests}"], {},
                              "error: {latin1}: " + NOT_UTF8),
     "run_tests_not_utf8": (RUN_TESTS + ["{latin1}"], {}, "error: {latin1}: " + NOT_UTF8),

@@ -1,9 +1,10 @@
 import re
 import sys
+from types import SimpleNamespace
 
 import pytest
 
-from mutspace.lang import apply_descriptor, mutate_all, parse, render
+from mutspace.lang import MutantDescriptor, Program, apply_descriptor, mutate_all, parse, render
 from helpers import MAX_SRC, TWENTY_SRC
 
 TOKEN_RE = re.compile(r"<=|>=|==|!=|&&|\|\||[<>+\-*/%]|\b\d+\b")
@@ -159,3 +160,35 @@ def test_lcr_swaps_logical_operators():
         "x = a && b && c;\n",
         "x = a || b || c;\n",
     ]
+
+
+# "x = a + 1;" has expression sites 1 (+), 2 (a) and 3 (1)
+REFUSALS = [
+    ("negative_site", None, ("AOR", 1, -1, "+", "-"), ValueError, "expression site -1 out of range"),
+    ("site_past_the_last", None, ("CRP", 1, 4, "1", "2"), ValueError, "expression site 4 out of range"),
+    ("site_0_not_sdl", None, ("AOR", 1, 0, "+", "-"), ValueError, "site 0 is reserved for SDL"),
+    ("wrong_operator", None, ("AOR", 1, 1, "*", "-"), ValueError,
+     "descriptor does not match site: expected operator '*'"),
+    ("operator_at_a_leaf", None, ("AOR", 1, 2, "+", "-"), ValueError,
+     "descriptor does not match site: expected operator '+'"),
+    ("literal_at_an_operator", None, ("CRP", 1, 1, "1", "2"), ValueError,
+     "descriptor does not match site: expected literal 1"),
+    ("wrong_literal", None, ("CRP", 1, 3, "5", "6"), ValueError,
+     "descriptor does not match site: expected literal 5"),
+    ("unknown_statement", None, ("SDL", 9, 0, "x = ...", ""), ValueError, "program has no statement 9"),
+    ("non_statement", Program((SimpleNamespace(sid=1),)), ("AOR", 1, 1, "+", "-"), TypeError,
+     "cannot mutate SimpleNamespace"),
+]
+
+
+@pytest.mark.parametrize(
+    "program, fields, error, message",
+    [row[1:] for row in REFUSALS],
+    ids=[row[0] for row in REFUSALS],
+)
+def test_apply_descriptor_refuses_a_descriptor_it_cannot_apply(program, fields, error, message):
+    program = program or parse("x = a + 1;")
+    desc = MutantDescriptor("m1", *fields)
+    with pytest.raises(error) as err:
+        apply_descriptor(program, desc)
+    assert str(err.value) == message
