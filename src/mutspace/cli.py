@@ -64,14 +64,12 @@ POLICY_CHOICES = click.Choice(POLICIES)
 
 def _differentiator(policy: str, epsilon: Optional[float]) -> Differentiator:
     """The differentiator for a policy option; unknown names never get past click."""
-    if policy == POLICY_NUMERIC:
-        if epsilon is None:
-            raise click.UsageError("--policy numeric requires --epsilon")
-        try:
-            return Differentiator.numeric(epsilon)
-        except ValueError as exc:  # a negative or NaN tolerance
-            raise click.UsageError(f"--epsilon: {exc}") from None
-    return Differentiator(policy)
+    if policy == POLICY_NUMERIC and epsilon is None:
+        raise click.UsageError("--policy numeric requires --epsilon")
+    try:
+        return Differentiator(policy, epsilon)
+    except ValueError as exc:  # a negative or NaN tolerance, or one the policy does not take
+        raise click.UsageError(f"--epsilon: {exc}") from None
 
 
 def _budget(budget: Optional[int]) -> int:

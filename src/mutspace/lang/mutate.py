@@ -12,16 +12,19 @@ Operators:
 
 Mutants are generated in a fixed order: statement id, then site offset
 within the statement (0 = the statement itself, used by SDL; expression
-sites follow in preorder), then replacement order.  Expression-site
-numbering is defined by ``_sites`` alone: ``mutate_all`` enumerates with
-it and ``apply_descriptor`` rebuilds through it.  Statement ids are
-reused unchanged, so a mutant's statements line up with the original's.
+sites follow in preorder), then replacement order.  Statements are
+numbered by one walker, ``syntax.statement_sites``, and sites by one
+generator, ``_mutation_sites`` (the statement, then ``_sites`` over its
+expression); each yields ``(node, put)`` pairs whose ``put`` rebuilds only
+what lies above the node.  ``mutate_all`` walks the program once and
+``apply_descriptor`` walks to its target; both build through ``_build``.
+Statement ids are reused unchanged, so a mutant's statements line up with
+the original's.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from itertools import islice
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, Union
 
 from .syntax import (
     ARITH_OPS,
@@ -33,11 +36,13 @@ from .syntax import (
     If,
     IntLit,
     Program,
+    Put,
     Return,
     Stmt,
     UnaryOp,
     While,
     statement_head,
+    statement_sites,
 )
 
 OPERATOR_AOR = "AOR"
@@ -65,8 +70,11 @@ class MutantDescriptor:
     replacement: str
 
 
-def _replacements(node: Expr) -> list[tuple[str, str, str]]:
-    """(operator, original token, replacement token) options for one node."""
+def _replacements(node: Union[Stmt, Expr]) -> list[tuple[str, str, str]]:
+    """(operator, original token, replacement token) options for one site:
+    a statement (site 0) or a node of its expression."""
+    if isinstance(node, (Assign, If, While, Return)):
+        return [(OPERATOR_SDL, statement_head(node), "")]
     if isinstance(node, BinOp):
         if node.op in ARITH_OPS:
             return [(OPERATOR_AOR, node.op, alt) for alt in ARITH_OPS if alt != node.op]
@@ -94,21 +102,13 @@ def _replacements(node: Expr) -> list[tuple[str, str, str]]:
 _EXPR_FIELD = {Assign: "value", Return: "value", If: "cond", While: "cond"}
 
 
-def _expr_field(stmt: Stmt) -> str:
-    try:
-        return _EXPR_FIELD[type(stmt)]
-    except KeyError:
-        raise TypeError(f"cannot mutate {type(stmt).__name__}") from None
-
-
-def _sites(root: Expr) -> Iterator[tuple[Expr, Callable[[Expr], Expr]]]:
+def _sites(root: Expr, put: Put) -> Iterator[tuple[Expr, Put]]:
     """``(node, put)`` for every node of ``root`` in preorder, where
-    ``put(x)`` is ``root`` with that node replaced by ``x``.  Expression
-    site k is the k-th pair, counted from 1.
-
-    The walk keeps its own stack, so a long operator chain costs no
-    generator frames, and each ``put`` rebuilds only the nodes above it."""
-    stack: list[tuple[Expr, Callable[[Expr], Expr]]] = [(root, lambda x: x)]
+    ``put(x)`` is what the given ``put`` makes of ``root`` with that node
+    replaced by ``x``.  The walk keeps its own stack, so a long operator
+    chain costs no generator frames, and each ``put`` rebuilds only the
+    nodes above it."""
+    stack = [(root, put)]
     while stack:
         node, put = stack.pop()
         yield node, put
@@ -119,62 +119,49 @@ def _sites(root: Expr) -> Iterator[tuple[Expr, Callable[[Expr], Expr]]]:
             stack.append((node.operand, lambda x, n=node, up=put: up(UnaryOp(n.op, x))))
 
 
-def _edit_statement(stmts: tuple[Stmt, ...], sid: int, editor) -> tuple[Stmt, ...]:
-    """Rebuild a statement tuple with the statement ``sid`` transformed by
-    ``editor`` (which may return None to delete it)."""
-    out = []
-    for s in stmts:
-        if s.sid == sid:
-            edited = editor(s)
-            if edited is not None:
-                out.append(edited)
-        elif isinstance(s, If):
-            out.append(
-                replace(
-                    s,
-                    then_body=_edit_statement(s.then_body, sid, editor),
-                    else_body=_edit_statement(s.else_body, sid, editor),
-                )
-            )
-        elif isinstance(s, While):
-            out.append(replace(s, body=_edit_statement(s.body, sid, editor)))
-        else:
-            out.append(s)
-    return tuple(out)
+def _mutation_sites(stmt: Stmt, put: Put) -> Iterator[tuple[Union[Stmt, Expr], Put]]:
+    """``(node, put)`` for each mutation site of ``stmt`` (yielded with
+    ``put`` by ``statement_sites``), site k being the k-th pair from 0:
+    the statement itself, then its expression's nodes from ``_sites``."""
+    try:
+        field = _EXPR_FIELD[type(stmt)]
+    except KeyError:
+        raise TypeError(f"cannot mutate {type(stmt).__name__}") from None
+    yield stmt, put
+    yield from _sites(getattr(stmt, field), lambda x: put(replace(stmt, **{field: x})))
+
+
+def _build(node: Union[Stmt, Expr], put: Put, replacement: str) -> Program:
+    """The mutant at a site of ``_mutation_sites``: its literal or operator
+    rewritten to ``replacement``, or, at site 0, the statement deleted."""
+    if isinstance(node, IntLit):
+        return put(IntLit(int(replacement)))
+    if isinstance(node, BinOp):
+        return put(BinOp(replacement, node.left, node.right))
+    return put(None)
 
 
 def apply_descriptor(program: Program, desc: MutantDescriptor) -> Program:
     """Re-apply a descriptor to the original program; the result renders to
-    exactly the mutant source the descriptor was generated with."""
-    def edit(stmt: Stmt) -> Optional[Stmt]:
-        if desc.site == 0:
-            if desc.operator != OPERATOR_SDL:
-                raise ValueError(f"site 0 is reserved for {OPERATOR_SDL}")
-            return None
-        field = _expr_field(stmt)
-        site = None
-        if desc.site > 0:
-            site = next(islice(_sites(getattr(stmt, field)), desc.site - 1, None), None)
-        if site is None:
-            raise ValueError(f"expression site {desc.site} out of range")
-        node, put = site
-        if desc.operator == OPERATOR_CRP:
-            if not isinstance(node, IntLit) or str(node.value) != desc.original:
-                raise ValueError(
-                    f"descriptor does not match site: expected literal {desc.original}"
-                )
-            mutated: Expr = IntLit(int(desc.replacement))
-        elif not isinstance(node, BinOp) or node.op != desc.original:
-            raise ValueError(
-                f"descriptor does not match site: expected operator {desc.original!r}"
-            )
-        else:
-            mutated = BinOp(desc.replacement, node.left, node.right)
-        return replace(stmt, **{field: put(mutated)})
-
-    if desc.statement not in program.statement_ids():
+    exactly the mutant source the descriptor was generated with.  Only a
+    descriptor that ``mutate_all`` emits for ``program`` (id aside) applies;
+    any other raises ``ValueError``."""
+    for stmt, put in statement_sites(program):
+        if stmt.sid == desc.statement:
+            break
+    else:
         raise ValueError(f"program has no statement {desc.statement}")
-    return Program(_edit_statement(program.statements, desc.statement, edit))
+    if desc.site == 0 and desc.operator != OPERATOR_SDL:
+        raise ValueError(f"site 0 is reserved for {OPERATOR_SDL}")
+    sites = list(_mutation_sites(stmt, put))
+    if not 0 <= desc.site < len(sites):
+        raise ValueError(f"expression site {desc.site} out of range")
+    node, put_node = sites[desc.site]
+    if (desc.operator, desc.original, desc.replacement) not in _replacements(node):
+        kind = {OPERATOR_CRP: "literal", OPERATOR_SDL: "statement"}.get(desc.operator, "operator")
+        shown = desc.original if kind == "literal" else repr(desc.original)
+        raise ValueError(f"descriptor does not match site: expected {kind} {shown}")
+    return _build(node, put_node, desc.replacement)
 
 
 def mutate_all(
@@ -187,18 +174,12 @@ def mutate_all(
     if unknown:
         raise ValueError(f"unknown mutation operators {sorted(unknown)}")
     results: list[tuple[MutantDescriptor, Program]] = []
-
-    def add(stmt: Stmt, site: int, operator: str, original: str, replacement: str) -> None:
-        if operator in enabled:
-            desc = MutantDescriptor(
-                f"m{len(results) + 1}", operator, stmt.sid, site, original, replacement
-            )
-            results.append((desc, apply_descriptor(program, desc)))
-
-    for stmt in program.walk_statements():
-        add(stmt, 0, OPERATOR_SDL, statement_head(stmt), "")
-        sites = _sites(getattr(stmt, _expr_field(stmt)))
-        for site, (node, _) in enumerate(sites, start=1):
+    for stmt, put in statement_sites(program):
+        for k, (node, put_node) in enumerate(_mutation_sites(stmt, put)):
             for operator, original, replacement in _replacements(node):
-                add(stmt, site, operator, original, replacement)
+                if operator in enabled:
+                    desc = MutantDescriptor(
+                        f"m{len(results) + 1}", operator, stmt.sid, k, original, replacement
+                    )
+                    results.append((desc, _build(node, put_node, replacement)))
     return results

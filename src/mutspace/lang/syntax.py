@@ -25,12 +25,13 @@ the limit is crossed.  So every accepted program can be parsed, rendered,
 mutated and executed without reaching Python's recursion limit.
 
 Statements get stable preorder ids starting at 1; mutants keep the ids of
-the statements they reuse.
+the statements they reuse.  ``statement_sites`` is the one statement walker:
+``walk_statements``, ``statement_ids`` and mutation all go through it.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Union
+from typing import Callable, Iterator, Union
 
 from ..errors import ParseError
 
@@ -127,20 +128,37 @@ class Program:
 
     def walk_statements(self) -> Iterator[Stmt]:
         """All statements in preorder (= ascending sid for parsed programs)."""
-
-        def go(stmts):
-            for s in stmts:
-                yield s
-                if isinstance(s, If):
-                    yield from go(s.then_body)
-                    yield from go(s.else_body)
-                elif isinstance(s, While):
-                    yield from go(s.body)
-
-        return go(self.statements)
+        return (stmt for stmt, _ in statement_sites(self))
 
     def statement_ids(self) -> list[int]:
         return [s.sid for s in self.walk_statements()]
+
+
+# rebuilds the whole program around one site from what the site becomes
+Put = Callable[..., Program]
+
+
+def statement_sites(program: Program) -> Iterator[tuple[Stmt, Put]]:
+    """``(stmt, put)`` for every statement of ``program`` in preorder, where
+    ``put(x)`` is ``program`` with that statement replaced by ``x``, or
+    deleted when ``x`` is None.  The walk keeps its own stack, and each
+    ``put`` rebuilds only the statement's ancestors and their blocks."""
+    stack: list[tuple[Stmt, Put]] = []
+
+    def push(block: tuple[Stmt, ...], put_block: Put) -> None:
+        for i in reversed(range(len(block))):
+            put = lambda x, i=i: put_block(block[:i] + (() if x is None else (x,)) + block[i + 1:])
+            stack.append((block[i], put))
+
+    push(program.statements, Program)
+    while stack:
+        stmt, put = stack.pop()
+        yield stmt, put
+        if isinstance(stmt, If):
+            push(stmt.else_body, lambda b, s=stmt, up=put: up(If(s.sid, s.cond, s.then_body, b)))
+            push(stmt.then_body, lambda b, s=stmt, up=put: up(If(s.sid, s.cond, b, s.else_body)))
+        elif isinstance(stmt, While):
+            push(stmt.body, lambda b, s=stmt, up=put: up(While(s.sid, s.cond, b)))
 
 
 # --- Lexer -------------------------------------------------------------------
@@ -366,32 +384,20 @@ def _render_expr(expr: Expr, parent_prec: int) -> str:
 
 
 def _render_block(stmts: tuple[Stmt, ...], indent: int) -> list[str]:
-    lines = []
-    for s in stmts:
-        lines.extend(_render_stmt(s, indent))
-    return lines
-
-
-def _render_stmt(stmt: Stmt, indent: int) -> list[str]:
     pad = "  " * indent
-    if isinstance(stmt, Assign):
-        return [f"{pad}{stmt.name} = {render_expr(stmt.value)};"]
-    if isinstance(stmt, Return):
-        return [f"{pad}return {render_expr(stmt.value)};"]
-    if isinstance(stmt, While):
-        lines = [f"{pad}while ({render_expr(stmt.cond)}) {{"]
-        lines.extend(_render_block(stmt.body, indent + 1))
-        lines.append(f"{pad}}}")
-        return lines
-    if isinstance(stmt, If):
-        lines = [f"{pad}if ({render_expr(stmt.cond)}) {{"]
-        lines.extend(_render_block(stmt.then_body, indent + 1))
-        if stmt.else_body:
-            lines.append(f"{pad}}} else {{")
-            lines.extend(_render_block(stmt.else_body, indent + 1))
-        lines.append(f"{pad}}}")
-        return lines
-    raise TypeError(f"cannot render {type(stmt).__name__}")
+    lines = []
+    for stmt in stmts:
+        lines.append(pad + statement_head(stmt))
+        if isinstance(stmt, While):
+            lines.extend(_render_block(stmt.body, indent + 1))
+            lines.append(f"{pad}}}")
+        elif isinstance(stmt, If):
+            lines.extend(_render_block(stmt.then_body, indent + 1))
+            if stmt.else_body:
+                lines.append(f"{pad}}} else {{")
+                lines.extend(_render_block(stmt.else_body, indent + 1))
+            lines.append(f"{pad}}}")
+    return lines
 
 
 def render(program: Program) -> str:
@@ -400,5 +406,14 @@ def render(program: Program) -> str:
 
 
 def statement_head(stmt: Stmt) -> str:
-    """First rendered line of a statement, e.g. ``x = a + b;`` or ``if (a > b) {``."""
-    return _render_stmt(stmt, 0)[0]
+    """First rendered line of a statement, e.g. ``x = a + b;`` or ``if (a > b) {``;
+    it renders the statement's own expression only, never its body."""
+    if isinstance(stmt, Assign):
+        return f"{stmt.name} = {render_expr(stmt.value)};"
+    if isinstance(stmt, Return):
+        return f"return {render_expr(stmt.value)};"
+    if isinstance(stmt, While):
+        return f"while ({render_expr(stmt.cond)}) {{"
+    if isinstance(stmt, If):
+        return f"if ({render_expr(stmt.cond)}) {{"
+    raise TypeError(f"cannot render {type(stmt).__name__}")

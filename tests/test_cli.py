@@ -466,6 +466,16 @@ TOO_DEEP = "maximum recursion depth exceeded"
 FAILURES = {
     "numeric_without_epsilon": (DVECTOR + ["--policy", "numeric"], {},
                                 "--policy numeric requires --epsilon"),
+    "epsilon_with_exact": (DVECTOR + ["--policy", "exact", "--epsilon", "0.5"], {},
+                           "--epsilon: policy 'exact' does not take a tolerance"),
+    "epsilon_with_default_policy": (DVECTOR + ["--epsilon", "0"], {},
+                                    "--epsilon: policy 'exact' does not take a tolerance"),
+    "mbfl_epsilon_with_output": (["mbfl", "--matrix", "{matrix}", "--epsilon", "0.5"], {},
+                                 "--epsilon: policy 'output' does not take a tolerance"),
+    "mbfl_epsilon_with_trace": (["mbfl", "--program", "{program}", "--tests", "{tests}",
+                                 "--expected", "{expected}", "--policy", "trace",
+                                 "--epsilon", "0.5"], {},
+                                "--epsilon: policy 'trace' does not take a tolerance"),
     "budget_env_not_int": (RUN, {"MUTSPACE_BUDGET": "lots"},
                            "MUTSPACE_BUDGET must be an integer, got 'lots'"),
     "tests_not_list": (RUN_TESTS + ["{not_list}"], {},
