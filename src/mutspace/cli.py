@@ -429,7 +429,7 @@ def demo(out_dir):
     click.echo("\n".join(lines))
     if out_dir is not None:
         # each demo mutant has its own kill column, so its own lattice node
-        at_node = {km.column(m): (m,) for m in km.mutants}
+        at_node = {km.mask(m): (m,) for m in km.mutants}
         lattice = PositionLattice(len(km.tests), tuple(km.tests), at_node)
         directory = Path(out_dir)
         with _writing(out_dir):

@@ -145,7 +145,9 @@ def apply_descriptor(program: Program, desc: MutantDescriptor) -> Program:
     """Re-apply a descriptor to the original program; the result renders to
     exactly the mutant source the descriptor was generated with.  Only a
     descriptor that ``mutate_all`` emits for ``program`` (id aside) applies;
-    any other raises ``ValueError``."""
+    any other raises ``ValueError`` naming the field that fails."""
+    if desc.operator not in ALL_OPERATORS:
+        raise ValueError(f"unknown mutation operator {desc.operator!r}")
     for stmt, put in statement_sites(program):
         if stmt.sid == desc.statement:
             break
@@ -153,11 +155,19 @@ def apply_descriptor(program: Program, desc: MutantDescriptor) -> Program:
         raise ValueError(f"program has no statement {desc.statement}")
     if desc.site == 0 and desc.operator != OPERATOR_SDL:
         raise ValueError(f"site 0 is reserved for {OPERATOR_SDL}")
+    if desc.site != 0 and desc.operator == OPERATOR_SDL:
+        raise ValueError(f"{OPERATOR_SDL} applies at site 0 only")
     sites = list(_mutation_sites(stmt, put))
     if not 0 <= desc.site < len(sites):
         raise ValueError(f"expression site {desc.site} out of range")
     node, put_node = sites[desc.site]
-    if (desc.operator, desc.original, desc.replacement) not in _replacements(node):
+    offered = _replacements(node)
+    if (desc.operator, desc.original, desc.replacement) not in offered:
+        if any(original == desc.original for _, original, _ in offered):
+            raise ValueError(
+                f"descriptor does not match site: {desc.operator} does not rewrite "
+                f"{desc.original!r} to {desc.replacement!r}"
+            )
         kind = {OPERATOR_CRP: "literal", OPERATOR_SDL: "statement"}.get(desc.operator, "operator")
         shown = desc.original if kind == "literal" else repr(desc.original)
         raise ValueError(f"descriptor does not match site: expected {kind} {shown}")

@@ -6,6 +6,11 @@ agree everywhere else, x matches the origin on those tests, and y opposes
 it.  Equivalently: x's 1-set is a strict subset of y's.  Flipping a single
 bit 0->1 gives the lattice edges; the full structure is the n-dimensional
 hypercube with 2^n nodes and n*2^(n-1) directed edges.
+
+Nodes are masks in the space's bit order (bit i is ``tests[i]``), and
+``PositionLattice.annotations`` is keyed by them; ``nodes()``, ``edges()``
+and ``programs_at`` are tuple views.  Their order (``tests[0]`` leftmost)
+meets the masks only in ``_rank``, which places DOT labels and orders ``project``.
 """
 from __future__ import annotations
 
@@ -15,12 +20,17 @@ from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 from .behavior import pack_bits, select, unpack_bits
 from .errors import CapacityError
-from .space import Position, ProgramSpace, position
+from .space import Position, ProgramSpace
 
 Node = tuple[int, ...]
 
 # 2^16 nodes; beyond this, use the implicit queries (deviant, reachability).
 MAX_EXPLICIT_DIMENSION = 16
+
+
+def _rank(mask: int, n: int) -> int:
+    """Index of node ``mask`` in ``nodes()`` order (``tests[0]`` leftmost)."""
+    return int(format(mask, f"0{n}b")[::-1], 2)
 
 
 @dataclass(frozen=True)
@@ -64,32 +74,31 @@ class PositionLattice:
 
     dimension: int
     tests: tuple[str, ...]
-    annotations: Mapping[Node, tuple[str, ...]] = field(default_factory=dict)
+    annotations: Mapping[int, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
         if self.dimension != len(self.tests):
             raise ValueError("one test name per dimension required")
-        for node in self.annotations:
-            if len(node) != self.dimension or any(b not in (0, 1) for b in node):
-                raise ValueError(f"annotation on non-node {node!r}")
+        for mask in self.annotations:
+            if not (isinstance(mask, int) and 0 <= mask < 1 << self.dimension):
+                raise ValueError(f"annotation on non-node {mask!r}")
 
     def nodes(self) -> Iterator[Node]:
         return itertools.product((0, 1), repeat=self.dimension)
 
     def edges(self) -> Iterator[tuple[Node, Node, str]]:
         for u in self.nodes():
-            for i in range(self.dimension):
+            for i, t in enumerate(self.tests):
                 if u[i] == 0:
-                    v = u[:i] + (1,) + u[i + 1 :]
-                    yield u, v, self.tests[i]
+                    yield u, u[:i] + (1,) + u[i + 1 :], t
 
     def programs_at(self, node: Node) -> tuple[str, ...]:
-        return self.annotations.get(tuple(node), ())
+        node = tuple(node)
+        m = pack_bits(node)  # a non-node does not round-trip
+        return self.annotations.get(m, ()) if unpack_bits(m, self.dimension) == node else ()
 
 
-def build_lattice(
-    n: int, tests: Optional[Sequence[str]] = None
-) -> PositionLattice:
+def build_lattice(n: int, tests: Optional[Sequence[str]] = None) -> PositionLattice:
     """Explicitly constructed hypercube of dimension ``n`` (capped at
     ``MAX_EXPLICIT_DIMENSION``; use the implicit queries above that)."""
     if n < 0:
@@ -110,22 +119,16 @@ def annotate(
 
     Returns a new lattice; several programs may share a node.
     """
-    if lattice.dimension != len(sp.tests):
+    if tuple(lattice.tests) != tuple(sp.tests):
         raise ValueError(
-            f"lattice dimension {lattice.dimension} does not match "
-            f"space dimension {len(sp.tests)}"
+            f"lattice dimensions {lattice.tests!r} do not match "
+            f"space dimensions {tuple(sp.tests)!r}"
         )
-    merged: dict[Node, list[str]] = {k: list(v) for k, v in lattice.annotations.items()}
+    merged = {mask: dict.fromkeys(progs) for mask, progs in lattice.annotations.items()}
     for p in programs:
-        node = position(sp, p).bits
-        merged.setdefault(node, [])
-        if p not in merged[node]:
-            merged[node].append(p)
-    return PositionLattice(
-        lattice.dimension,
-        lattice.tests,
-        {k: tuple(v) for k, v in merged.items()},
-    )
+        merged.setdefault(sp.mask(p), {})[p] = None
+    annotations = {m: tuple(v) for m, v in merged.items()}
+    return PositionLattice(lattice.dimension, lattice.tests, annotations)
 
 
 def project(
@@ -139,20 +142,18 @@ def project(
     if isinstance(obj, PositionLattice):
         if not 0 <= k <= obj.dimension:
             raise ValueError(f"prefix length {k} out of range 0..{obj.dimension}")
-        merged: dict[Node, list[str]] = {}
-        # sorted bit tuples are the order nodes() yields: coalesced lists stay stable
-        for node in sorted(obj.annotations):
-            for p in obj.annotations[node]:
-                bucket = merged.setdefault(node[:k], [])
-                if p not in bucket:
-                    bucket.append(p)
-        return PositionLattice(k, obj.tests[:k], {n: tuple(v) for n, v in merged.items()})
+        low = (1 << k) - 1
+        merged: dict[int, dict[str, None]] = {}
+        # in nodes() order, so each coalesced list keeps its sources' order
+        for mask in sorted(obj.annotations, key=lambda m: _rank(m, obj.dimension)):
+            merged.setdefault(mask & low, {}).update(dict.fromkeys(obj.annotations[mask]))
+        return PositionLattice(k, obj.tests[:k], {m: tuple(v) for m, v in merged.items()})
     if isinstance(obj, Position):
         sp = obj.space
         if not 0 <= k <= len(sp.tests):
             raise ValueError(f"prefix length {k} out of range 0..{len(sp.tests)}")
         sub = ProgramSpace(sp.tests.prefix(k), sp.origin, sp.differentiator, sp.matrix)
-        return position(sub, obj.subject)
+        return Position(obj.mask & ((1 << k) - 1), sub, obj.subject)
     raise TypeError(f"cannot project {type(obj).__name__}")
 
 
@@ -164,9 +165,9 @@ def reachable_by_deviance(lattice: PositionLattice, start: Node) -> set[Node]:
     equivalence is exercised by the test suite.
     """
     start = tuple(start)
-    if len(start) != lattice.dimension or any(b not in (0, 1) for b in start):
-        raise ValueError(f"{start!r} is not a node of this lattice")
     base = pack_bits(start)
+    if unpack_bits(base, lattice.dimension) != start:
+        raise ValueError(f"{start!r} is not a node of this lattice")
     free = ~base & ((1 << lattice.dimension) - 1)
     out: set[Node] = set()
     extra = free
@@ -185,17 +186,15 @@ def lattice_to_dot(lattice: PositionLattice) -> str:
     """DOT rendering with nodes in ascending bit-string order and edges
     labeled by their deviating test."""
     n = lattice.dimension
-    # node k of ``nodes()`` is the bit string of k, tests[0] its leftmost bit
     ids = [format(k, f"0{n}b") if n else "()" for k in range(1 << n)]
     labels = list(ids)
-    for node, progs in lattice.annotations.items():
+    for mask, progs in lattice.annotations.items():
         if progs:
-            k = sum(b << (n - 1 - i) for i, b in enumerate(node))
-            labels[k] += "\\n" + ",".join(dot_escape(p) for p in sorted(progs))
+            labels[_rank(mask, n)] += "\\n" + ",".join(dot_escape(p) for p in sorted(progs))
     lines = ["digraph positions {", "  rankdir=BT;"]
     lines += [f'  "{u}" [label="{label}"];' for u, label in zip(ids, labels)]
     # escaped once per export: there are n * 2^(n-1) edges but n test names
-    flips = [(1 << (n - 1 - i), dot_escape(t)) for i, t in enumerate(lattice.tests)]
+    flips = [(_rank(1 << i, n), dot_escape(t)) for i, t in enumerate(lattice.tests)]
     lines += [
         f'  "{u}" -> "{ids[k | bit]}" [label="{t}"];'
         for k, u in enumerate(ids)

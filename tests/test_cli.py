@@ -250,6 +250,17 @@ def test_analyze_pdl(runner):
     assert result.output.count("->") == 12
 
 
+def test_analyze_pdl_output_has_pinned_bytes_for_every_explicit_dimension(runner):
+    import hashlib
+
+    digest = hashlib.sha256()
+    for n in range(17):
+        result = runner.invoke(main, ["analyze", "pdl", "--n", str(n)])
+        assert result.exit_code == 0, n
+        digest.update(result.output.encode())
+    assert digest.hexdigest() == "94934ff0b6ef30241648622e3f607c6eac75f37d61b7a5e4e469abb8ca47a99f"
+
+
 def test_analyze_pdl_capacity(runner):
     result = runner.invoke(main, ["analyze", "pdl", "--n", "17"])
     assert result.exit_code == 4

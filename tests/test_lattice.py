@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from mutspace import (
     CapacityError,
     Differentiator,
+    PositionLattice,
     ProgramSpace,
     annotate,
     build_lattice,
@@ -274,3 +276,60 @@ def test_dot_nodes_in_ascending_binary_order():
         if "[label=" in line and "->" not in line
     ]
     assert order == ["00", "01", "10", "11"]
+
+
+# --- masks underneath the tuple views --------------------------------------------------
+
+
+def test_annotate_refuses_a_space_over_other_tests():
+    # m1 is killed by t1 only: a lattice over reordered or renamed tests
+    # would label the edge into its node with another test
+    sp = kill_space(four_mutant_kills())
+    for tests in (("t3", "t2", "t1"), ("x", "y", "z")):
+        with pytest.raises(ValueError, match="dimension") as err:
+            annotate(build_lattice(3, tests), sp, ["m1"])
+        assert repr(tests) in str(err.value)
+        assert repr(("t1", "t2", "t3")) in str(err.value)
+    # the same tests in a list are the same dimensions
+    lattice = annotate(PositionLattice(3, ["t1", "t2", "t3"]), sp, ["m1"])
+    assert lattice.programs_at((1, 0, 0)) == ("m1",)
+
+
+def test_annotate_and_project_are_linear_in_the_programs_at_one_node():
+    # 20,000 programs at one node take about 0.07 s; a list scan per
+    # program, quadratic in them, takes about 6 s on a 2-core VM
+    names = [f"p{i}" for i in range(20_000)]
+    outputs = {"po": ["x", "x"], **{p: ["y", "x"] for p in names}}
+    bm = matrix_from_outputs(["t1", "t2"], outputs)
+    sp = ProgramSpace(bm.tests, "po", EXACT, bm)
+    start = time.perf_counter()
+    lattice = annotate(build_lattice(2, bm.tests), sp, names)
+    zero = project(lattice, 0)
+    elapsed = time.perf_counter() - start
+    assert lattice.programs_at((1, 0)) == tuple(names)
+    assert zero.programs_at(()) == tuple(names)
+    assert elapsed < 1.0
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 5), st.integers(1, 8))
+@settings(max_examples=100, derandomize=True)
+def test_annotate_and_project_agree_with_a_tuple_brute_force(seed, n_tests, n_programs):
+    rng = random.Random(seed)
+    bm = random_matrix(rng, n_tests, n_programs, rng.randint(1, 3))
+    sp = ProgramSpace(bm.tests, "p0", EXACT, bm)
+    names = [f"p{j}" for j in range(n_programs)]
+    first = rng.choices(names, k=rng.randint(0, 12))
+    second = rng.choices(names, k=rng.randint(0, 12))
+    lattice = annotate(annotate(build_lattice(n_tests, bm.tests), sp, first), sp, second)
+
+    def unique(programs):
+        return tuple(dict.fromkeys(programs))
+
+    nodes = list(lattice.nodes())
+    at = {n: unique(p for p in first + second if position(sp, p).bits == n) for n in nodes}
+    for node in nodes:
+        assert lattice.programs_at(node) == at[node]
+    for k in range(n_tests + 1):
+        sub = project(lattice, k)
+        for u in sub.nodes():
+            assert sub.programs_at(u) == unique(p for v in nodes if v[:k] == u for p in at[v])

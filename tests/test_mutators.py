@@ -185,15 +185,15 @@ REFUSALS = [
      "cannot mutate SimpleNamespace"),
     # rewrites mutate_all never emits, though the site holds the original
     ("unknown_operator_name", None, ("XYZ", 1, 1, "+", "^"), ValueError,
-     "descriptor does not match site: expected operator '+'"),
+     "unknown mutation operator 'XYZ'"),
     ("aor_to_a_logic_operator", None, ("AOR", 1, 1, "+", "&&"), ValueError,
-     "descriptor does not match site: expected operator '+'"),
+     "descriptor does not match site: AOR does not rewrite '+' to '&&'"),
     ("identity_rewrite", None, ("AOR", 1, 1, "+", "+"), ValueError,
-     "descriptor does not match site: expected operator '+'"),
+     "descriptor does not match site: AOR does not rewrite '+' to '+'"),
     ("sdl_at_an_expression_site", None, ("SDL", 1, 1, "+", ""), ValueError,
-     "descriptor does not match site: expected statement '+'"),
+     "SDL applies at site 0 only"),
     ("crp_to_another_script", None, ("CRP", 1, 3, "1", "\u0663"), ValueError,
-     "descriptor does not match site: expected literal 1"),
+     "descriptor does not match site: CRP does not rewrite '1' to '\u0663'"),
     ("sdl_of_another_head", None, ("SDL", 1, 0, "x = a + 2;", ""), ValueError,
      "descriptor does not match site: expected statement 'x = a + 2;'"),
 ]
