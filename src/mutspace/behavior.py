@@ -6,12 +6,25 @@ difference bits, and a :class:`DiffVector` collects those bits over an
 ordered :class:`TestVector`.  Everything downstream (positions, lattices,
 kill matrices, fault localization) reads behavior exclusively through these
 types.
+
+Most cells of a column repeat a few tokens, so a matrix stores each column
+as a table of its distinct tokens plus one small-int id per row, and the
+readers build one token per distinct cell.  Positions come from one pass
+over the columns (:func:`position_masks`): whether a token differs from the
+origin's is decided once per distinct token, then every row holding it
+gets the bit.  The exact, output and trace policies are equivalences, so
+they compare class ids numbered once per matrix and policy.  Numeric
+tolerance is not transitive (0 ~ 0.4 ~ 0.8 but 0 and 0.8 differ), so it
+is never interned into classes: the pass calls ``differs`` on the origin's
+token and each distinct token, which is exact because one side is always
+the origin's.
 """
 from __future__ import annotations
 
 import json
 from json.encoder import encode_basestring
 from dataclasses import asdict, dataclass, field
+from operator import attrgetter
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_FLOOR, Context, Decimal, Inexact, InvalidOperation
 from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
@@ -104,9 +117,45 @@ class ProgramEntry:
             raise ValueError(f"origin only applies to mutants (program {self.id!r})")
 
 
+def _checked_entries(programs: Sequence[Union[ProgramEntry, str]]) -> tuple[ProgramEntry, ...]:
+    """Program rows as entries: unique ids, at most one spec and one
+    original, and every origin a known program."""
+    entries = tuple(p if isinstance(p, ProgramEntry) else ProgramEntry(p) for p in programs)
+    ids = [p.id for p in entries]
+    if len(set(ids)) != len(ids):
+        raise ValueError("program identifiers must be unique")
+    for role in (ROLE_SPEC, ROLE_ORIGINAL):
+        if sum(1 for p in entries if p.role == role) > 1:
+            raise ValueError(f"at most one program may carry role {role!r}")
+    known = set(ids)
+    for p in entries:
+        if p.origin is not None and p.origin not in known:
+            raise ValueError(f"mutant {p.id!r} references unknown origin {p.origin!r}")
+    return entries
+
+
+def _numbered(keys: Iterable) -> tuple[dict, tuple[int, ...]]:
+    """Each distinct key numbered in first-seen order, and every key's number."""
+    index: dict = {}
+    return index, tuple([index.setdefault(key, len(index)) for key in keys])
+
+
+def _interned(rows: Sequence[Sequence], n: int, make: Callable) -> tuple[tuple, tuple]:
+    """The columns of ``rows`` (``n`` keys each) as token tables and ids:
+    per column, ``make(key)`` for each distinct key and each row's number."""
+    numbered = [_numbered(keys) for keys in (zip(*rows) if rows else [()] * n)]
+    tables = tuple(tuple(map(make, index)) for index, _ in numbered)
+    return tables, tuple(ids for _, ids in numbered)
+
+
 class BehaviorMatrix:
     """Total map (program, test) -> token, with at most one spec and one
-    original row.  Instances are value-like: construct once, never mutate."""
+    original row.  Instances are value-like: construct once, never mutate.
+
+    A test's column is a table of its distinct tokens, in first-seen row
+    order, and one id per row into that table, so two rows hold equal
+    tokens exactly when they hold the same id.
+    """
 
     def __init__(
         self,
@@ -114,38 +163,32 @@ class BehaviorMatrix:
         programs: Sequence[Union[ProgramEntry, str]],
         cells: Mapping[str, Mapping[str, BehaviorToken]],
     ):
-        self._tests = TestVector.of(tests)
-        entries = tuple(
-            p if isinstance(p, ProgramEntry) else ProgramEntry(p) for p in programs
-        )
-        ids = [p.id for p in entries]
-        if len(set(ids)) != len(ids):
-            raise ValueError("program identifiers must be unique")
-        for role in (ROLE_SPEC, ROLE_ORIGINAL):
-            if sum(1 for p in entries if p.role == role) > 1:
-                raise ValueError(f"at most one program may carry role {role!r}")
-        known = set(ids)
-        for p in entries:
-            if p.origin is not None and p.origin not in known:
-                raise ValueError(f"mutant {p.id!r} references unknown origin {p.origin!r}")
-        self._programs = entries
-        self._cells: dict[str, dict[str, BehaviorToken]] = {}
+        tv = TestVector.of(tests)
+        entries = _checked_entries(programs)
+        rows = []
         for p in entries:
             row = cells.get(p.id)
             if row is None:
                 raise ValueError(f"missing cells for program {p.id!r}")
-            copied: dict[str, BehaviorToken] = {}
-            for t in self._tests:
-                if t not in row:
-                    raise ValueError(f"missing cell for ({p.id!r}, {t!r})")
-                copied[t] = row[t]
-            if len(row) != len(copied):
-                extra = sorted(set(row) - set(copied))
+            missing = next((t for t in tv if t not in row), None)
+            if missing is not None:
+                raise ValueError(f"missing cell for ({p.id!r}, {missing!r})")
+            if len(row) != len(tv):
+                extra = sorted(set(row) - set(tv))
                 raise ValueError(f"program {p.id!r} has cells for unknown tests {extra}")
-            self._cells[p.id] = copied
-        if set(cells) - known:
-            extra = sorted(set(cells) - known)
+            rows.append([row[t] for t in tv])
+        extra = sorted(set(cells) - {p.id for p in entries})
+        if extra:
             raise ValueError(f"cells reference unknown programs {extra}")
+        self._store(tv, entries, *_interned(rows, len(tv), lambda tok: tok))
+
+    def _store(self, tests, entries, tables, ids) -> "BehaviorMatrix":
+        """Fill this matrix from checked entries and interned columns."""
+        self._tests, self._programs, self._tables, self._ids = tests, entries, tables, ids
+        self._rows = {p.id: r for r, p in enumerate(entries)}
+        self._cols = {t: j for j, t in enumerate(tests)}
+        self._class_ids: dict[str, tuple[tuple[int, ...], ...]] = {}
+        return self
 
     @property
     def tests(self) -> TestVector:
@@ -159,10 +202,7 @@ class BehaviorMatrix:
         return tuple(p.id for p in self._programs)
 
     def entry(self, program_id: str) -> ProgramEntry:
-        for p in self._programs:
-            if p.id == program_id:
-                return p
-        raise UnknownIdError(f"unknown program id {program_id!r}")
+        return self._programs[self._row(program_id)]
 
     def role_holder(self, role: str) -> Optional[str]:
         for p in self._programs:
@@ -181,17 +221,30 @@ class BehaviorMatrix:
     def mutant_ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self._programs if p.role == ROLE_MUTANT)
 
-    def _row(self, program_id: str) -> dict[str, BehaviorToken]:
-        row = self._cells.get(program_id)
+    def _row(self, program_id: str) -> int:
+        row = self._rows.get(program_id)
         if row is None:
             raise UnknownIdError(f"unknown program id {program_id!r}")
         return row
 
+    def _columns(self, tests: Iterable[str]) -> list[int]:
+        try:
+            return [self._cols[t] for t in tests]
+        except KeyError as exc:
+            raise UnknownIdError(f"unknown test id {exc.args[0]!r}") from None
+
+    def _classes(self, policy: str) -> tuple[tuple[int, ...], ...]:
+        """Per column, the class of each token id under an equivalence
+        policy, numbered once per policy."""
+        if policy not in self._class_ids:
+            key = _POLICY_KEYS[policy]
+            self._class_ids[policy] = tuple(_numbered(map(key, t))[1] for t in self._tables)
+        return self._class_ids[policy]
+
     def token(self, program_id: str, test_id: str) -> BehaviorToken:
-        tok = self._row(program_id).get(test_id)
-        if tok is None:
-            raise UnknownIdError(f"unknown test id {test_id!r}")
-        return tok
+        r = self._row(program_id)
+        (j,) = self._columns((test_id,))
+        return self._tables[j][self._ids[j][r]]
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, BehaviorMatrix):
@@ -199,7 +252,8 @@ class BehaviorMatrix:
         return (
             self._tests == other._tests
             and self._programs == other._programs
-            and self._cells == other._cells
+            and self._ids == other._ids
+            and self._tables == other._tables
         )
 
     def __repr__(self) -> str:
@@ -214,19 +268,18 @@ def matrix_from_outputs(
     roles: Optional[Mapping[str, str]] = None,
     origins: Optional[Mapping[str, str]] = None,
 ) -> BehaviorMatrix:
-    """Build a trace-less matrix from per-program output sequences."""
+    """Build a trace-less matrix from per-program output sequences, with
+    one token per distinct output of a column."""
     tv = TestVector.of(tests)
     roles = roles or {}
     origins = origins or {}
-    programs = [
-        ProgramEntry(pid, roles.get(pid), origins.get(pid)) for pid in outputs
-    ]
-    cells = {}
+    programs = [ProgramEntry(pid, roles.get(pid), origins.get(pid)) for pid in outputs]
     for pid, row in outputs.items():
         if len(row) != len(tv):
             raise ValueError(f"program {pid!r} has {len(row)} outputs for {len(tv)} tests")
-        cells[pid] = {t: BehaviorToken(str(out)) for t, out in zip(tv, row)}
-    return BehaviorMatrix(tv, programs, cells)
+    rows = [list(map(str, row)) for row in outputs.values()]
+    matrix = BehaviorMatrix.__new__(BehaviorMatrix)
+    return matrix._store(tv, _checked_entries(programs), *_interned(rows, len(tv), BehaviorToken))
 
 
 POLICY_EXACT = "exact"
@@ -234,6 +287,14 @@ POLICY_OUTPUT = "output"
 POLICY_TRACE = "trace"
 POLICY_NUMERIC = "numeric"
 POLICIES = (POLICY_EXACT, POLICY_OUTPUT, POLICY_TRACE, POLICY_NUMERIC)
+
+# What each equivalence policy compares; numeric tolerance is not
+# transitive, so it has no key.
+_POLICY_KEYS = {
+    POLICY_EXACT: attrgetter("output", "status", "trace"),
+    POLICY_OUTPUT: attrgetter("output", "status"),
+    POLICY_TRACE: attrgetter("trace", "status"),
+}
 
 
 def _as_decimal(text: str) -> Optional[Decimal]:
@@ -316,12 +377,9 @@ class Differentiator:
         return cls(POLICY_NUMERIC, tolerance)
 
     def differs(self, a: BehaviorToken, b: BehaviorToken) -> bool:
-        if self.policy == POLICY_EXACT:
-            return a != b
-        if self.policy == POLICY_OUTPUT:
-            return (a.output, a.status) != (b.output, b.status)
-        if self.policy == POLICY_TRACE:
-            return (a.trace, a.status) != (b.trace, b.status)
+        key = _POLICY_KEYS.get(self.policy)
+        if key is not None:
+            return key(a) != key(b)
         # numeric
         if a.status != b.status:
             return True
@@ -371,8 +429,20 @@ def differentiate(
 # --- packed difference bits ---------------------------------------------------
 #
 # The one encoding of difference bits is a mask: an int whose bit i is the
-# bit of tests[i].  Each bit comes from one ``Differentiator.differs`` call,
-# never from other bits, because numeric tolerance is not transitive.
+# bit of tests[i].  Each bit compares two token ids of one column.
+
+
+def _id_differs(d: Differentiator, bm: BehaviorMatrix) -> Callable[[int, int, int], bool]:
+    """Whether token ids ``a`` and ``b`` of column ``j`` differ under ``d``.
+
+    Equivalence policies compare the ids' classes.  Numeric tolerance is
+    not transitive, so it calls ``differs`` on the two tokens themselves
+    and is never interned into classes."""
+    if d.policy == POLICY_NUMERIC:
+        tables = bm._tables
+        return lambda j, a, b: d.differs(tables[j][a], tables[j][b])
+    classes = bm._classes(d.policy)
+    return lambda j, a, b: classes[j][a] != classes[j][b]
 
 
 def diff_mask(
@@ -386,14 +456,32 @@ def diff_mask(
 
     Unknown program and test ids raise :class:`UnknownIdError`, as
     :meth:`BehaviorMatrix.token` does."""
-    row_x, row_y = bm._row(px), bm._row(py)
-    mask = 0
-    for i, t in enumerate(tv):
-        if t not in row_x:
-            raise UnknownIdError(f"unknown test id {t!r}")
-        if d.differs(row_x[t], row_y[t]):
-            mask |= 1 << i
-    return mask
+    x, y = bm._row(px), bm._row(py)
+    differ, ids = _id_differs(d, bm), bm._ids
+    return pack_bits(differ(j, ids[j][x], ids[j][y]) for j in bm._columns(tv))
+
+
+def position_masks(
+    d: Differentiator, tv: Iterable[str], origin: str, bm: BehaviorMatrix
+) -> dict[str, int]:
+    """Difference bits of every program against ``origin`` (bit i is test
+    ``tv[i]``), in one pass over the columns.
+
+    Per column, whether a token differs from the origin's is decided once
+    per distinct token; each row then reads the answer for its token id.
+    Under ``numeric`` that is one ``differs(origin token, token)`` call per
+    distinct token, which is exact because one side is always the origin's.
+    """
+    o = bm._row(origin)
+    differ = _id_differs(d, bm)
+    digits = []
+    for j in reversed(bm._columns(tv)):  # the last test is the high bit
+        ids = bm._ids[j]
+        judged = bytes([48 + differ(j, ids[o], k) for k in range(len(bm._tables[j]))])
+        digits.append(bytes(map(judged.__getitem__, ids)))  # b"0" or b"1" per row
+    text = b"".join(digits)
+    rows = len(bm.programs)
+    return {p.id: int(text[r::rows] or b"0", 2) for r, p in enumerate(bm.programs)}
 
 
 def pack_bits(bits: Iterable[int]) -> int:
@@ -493,7 +581,10 @@ def mutation_adequacy(
     order) that kills it.  An empty mutant list is vacuously adequate.
     """
     tv = TestVector.of(tv)
-    return adequacy_from_masks(tv, ((m, diff_mask(d, tv, po, m, bm)) for m in mutants))
+    masks = position_masks(d, tv, po, bm)
+    for m in mutants:
+        bm._row(m)  # an unknown id raises
+    return adequacy_from_masks(tv, ((m, masks[m]) for m in mutants))
 
 
 # --- JSON interchange -------------------------------------------------------
@@ -526,22 +617,25 @@ def matrix_to_json_text(bm: BehaviorMatrix) -> str:
         _block([f"{q(k)}: {q(v)}" for k, v in asdict(p).items() if v is not None], "    ", "{}")
         for p in bm.programs
     ]
-    keys = [q(t) + ": " for t in bm.tests]
-    rows = []
-    for p in bm.programs:
-        cells = []
-        for t, key in zip(bm.tests, keys):
-            tok = bm.token(p.id, t)
-            cell = f'{key}{{\n        "output": {q(tok.output)},\n        "status": {q(tok.status)}'
-            if tok.trace is not None:
-                entries = [
-                    f"[\n            {sid if sid.__class__ is int else scalar(sid)},"
-                    f"\n            {q(state)}\n          ]"
-                    for sid, state in tok.trace
-                ]
-                cell += ',\n        "trace": ' + _block(entries, "        ", "[]")
-            cells.append(cell + "\n      }")
-        rows.append(f"{q(p.id)}: {_block(cells, '    ', '{}')}")
+
+    def text(key: str, tok: BehaviorToken) -> str:
+        cell = f'{key}{{\n        "output": {q(tok.output)},\n        "status": {q(tok.status)}'
+        if tok.trace is not None:
+            entries = [
+                f"[\n            {sid if sid.__class__ is int else scalar(sid)},"
+                f"\n            {q(state)}\n          ]"
+                for sid, state in tok.trace
+            ]
+            cell += ',\n        "trace": ' + _block(entries, "        ", "[]")
+        return cell + "\n      }"
+
+    # each column's distinct tokens are encoded once, then looked up per row
+    texts = [[text(q(t) + ": ", tok) for tok in table] for t, table in zip(bm.tests, bm._tables)]
+    rows = [
+        f"{q(p.id)}: "
+        + _block([col[ids[r]] for col, ids in zip(texts, bm._ids)], "    ", "{}")
+        for r, p in enumerate(bm.programs)
+    ]
     return (
         f'{{\n  "tests": {_block([q(t) for t in bm.tests], "  ", "[]")},'
         f'\n  "programs": {_block(programs, "  ", "[]")},'
@@ -557,7 +651,8 @@ def _expect(condition: bool, path: str, message: str) -> None:
 _CELL_FIELDS = frozenset(("output", "status", "trace"))
 
 
-def _token_from_obj(obj, pid: str, tid: str) -> BehaviorToken:
+def _cell_key(obj, pid: str, tid: str) -> tuple:
+    """The checked cell's token key: (output, status, trace)."""
     # Runs once per cell and its loop once per trace entry, so each error
     # path is built only when raising.
     if not isinstance(obj, dict):
@@ -588,7 +683,7 @@ def _token_from_obj(obj, pid: str, tid: str) -> BehaviorToken:
     if not _CELL_FIELDS.issuperset(obj):
         unknown = sorted(set(obj) - _CELL_FIELDS)[0]
         raise SchemaError(f"/cells/{pid}/{tid}/{unknown}", "unknown field")
-    return BehaviorToken(obj["output"], status, trace)
+    return obj["output"], status, trace if trace is None else tuple(map(tuple, trace))
 
 
 def matrix_from_json_obj(obj) -> BehaviorMatrix:
@@ -636,7 +731,7 @@ def matrix_from_json_obj(obj) -> BehaviorMatrix:
     _expect(isinstance(raw_cells, dict), "/cells", "must be an object")
     for pid in raw_cells:
         _expect(pid in known, f"/cells/{pid}", "unknown program id")
-    cells: dict[str, dict[str, BehaviorToken]] = {}
+    rows = []
     for e in entries:
         _expect(e.id in raw_cells, f"/cells/{e.id}", "missing row for program")
         row = raw_cells[e.id]
@@ -644,13 +739,15 @@ def matrix_from_json_obj(obj) -> BehaviorMatrix:
         if not tests.issuperset(row):
             tid = next(t for t in row if t not in tests)
             raise SchemaError(f"/cells/{e.id}/{tid}", "unknown test id")
-        parsed: dict[str, BehaviorToken] = {}
+        keys = []
         for tid in raw_tests:
             if tid not in row:
                 raise SchemaError(f"/cells/{e.id}/{tid}", "missing cell for test")
-            parsed[tid] = _token_from_obj(row[tid], e.id, tid)
-        cells[e.id] = parsed
-    return BehaviorMatrix(TestVector(tuple(raw_tests)), entries, cells)
+            keys.append(_cell_key(row[tid], e.id, tid))
+        rows.append(keys)
+    tables, ids = _interned(rows, len(raw_tests), lambda key: BehaviorToken(*key))
+    matrix = BehaviorMatrix.__new__(BehaviorMatrix)
+    return matrix._store(TestVector(tuple(raw_tests)), tuple(entries), tables, ids)
 
 
 def matrix_from_json_text(text: str) -> BehaviorMatrix:

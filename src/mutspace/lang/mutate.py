@@ -24,7 +24,7 @@ the original's.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterable, Iterator, Union
+from typing import Callable, Iterable, Iterator, Optional, Union
 
 from .syntax import (
     ARITH_OPS,
@@ -40,6 +40,7 @@ from .syntax import (
     Return,
     Stmt,
     UnaryOp,
+    Var,
     While,
     statement_head,
     statement_sites,
@@ -96,6 +97,17 @@ def _replacements(node: Union[Stmt, Expr]) -> list[tuple[str, str, str]]:
                 options.append((OPERATOR_CRP, str(node.value), text))
         return options
     return []
+
+
+def _held(node: Union[Stmt, Expr]) -> Optional[tuple[str, str]]:
+    """The kind and shown token of an expression site; None for a statement."""
+    if isinstance(node, (BinOp, UnaryOp)):
+        return "operator", repr(node.op)
+    if isinstance(node, IntLit):
+        return "literal", str(node.value)
+    if isinstance(node, Var):
+        return "variable", repr(node.name)
+    return None
 
 
 # the field that holds each mutable statement kind's own expression
@@ -170,6 +182,13 @@ def apply_descriptor(program: Program, desc: MutantDescriptor) -> Program:
             )
         kind = {OPERATOR_CRP: "literal", OPERATOR_SDL: "statement"}.get(desc.operator, "operator")
         shown = desc.original if kind == "literal" else repr(desc.original)
+        # an expression site holding a token of the descriptor's kind, or a
+        # variable, is named by that token; any other site by what was expected
+        held = _held(node)
+        if held and held[0] in (kind, "variable"):
+            raise ValueError(
+                f"descriptor does not match site: site holds {held[0]} {held[1]}, not {shown}"
+            )
         raise ValueError(f"descriptor does not match site: expected {kind} {shown}")
     return _build(node, put_node, desc.replacement)
 

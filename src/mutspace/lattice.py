@@ -28,6 +28,18 @@ Node = tuple[int, ...]
 MAX_EXPLICIT_DIMENSION = 16
 
 
+def _check_dimension(n: int) -> None:
+    """Refuse a negative dimension, and one past ``MAX_EXPLICIT_DIMENSION``
+    with a :class:`CapacityError`."""
+    if n < 0:
+        raise ValueError("dimension must be nonnegative")
+    if n > MAX_EXPLICIT_DIMENSION:
+        raise CapacityError(
+            f"explicit lattice construction is capped at dimension "
+            f"{MAX_EXPLICIT_DIMENSION}; query deviance implicitly instead"
+        )
+
+
 def _rank(mask: int, n: int) -> int:
     """Index of node ``mask`` in ``nodes()`` order (``tests[0]`` leftmost)."""
     return int(format(mask, f"0{n}b")[::-1], 2)
@@ -77,6 +89,7 @@ class PositionLattice:
     annotations: Mapping[int, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
+        _check_dimension(self.dimension)
         if self.dimension != len(self.tests):
             raise ValueError("one test name per dimension required")
         for mask in self.annotations:
@@ -101,13 +114,7 @@ class PositionLattice:
 def build_lattice(n: int, tests: Optional[Sequence[str]] = None) -> PositionLattice:
     """Explicitly constructed hypercube of dimension ``n`` (capped at
     ``MAX_EXPLICIT_DIMENSION``; use the implicit queries above that)."""
-    if n < 0:
-        raise ValueError("dimension must be nonnegative")
-    if n > MAX_EXPLICIT_DIMENSION:
-        raise CapacityError(
-            f"explicit lattice construction is capped at dimension "
-            f"{MAX_EXPLICIT_DIMENSION}; query deviance implicitly instead"
-        )
+    _check_dimension(n)
     names = tuple(tests) if tests is not None else tuple(f"t{i + 1}" for i in range(n))
     return PositionLattice(n, names)
 

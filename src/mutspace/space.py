@@ -1,10 +1,10 @@
 """Program spaces: positions of programs relative to an origin.
 
 A space is identified by (tests, origin, differentiator); the behavior
-matrix is carried along only as the data source.  Each program's position
-is computed from the matrix on first use and then kept as a mask on the
-space.  Cached positions cannot go stale because matrices are immutable,
-and the cache is write-once, so spaces stay safe to share.
+matrix is carried along only as the data source.  Every program's position
+is computed from the matrix in one pass on first use and then kept as a
+mask on the space.  Cached positions cannot go stale because matrices are
+immutable, and the cache is write-once, so spaces stay safe to share.
 """
 from __future__ import annotations
 
@@ -16,6 +16,7 @@ from .behavior import (
     Differentiator,
     TestVector,
     diff_mask,
+    position_masks,
     select,
     unpack_bits,
 )
@@ -41,21 +42,22 @@ class ProgramSpace:
     def __post_init__(self):
         object.__setattr__(self, "tests", TestVector.of(self.tests))
         self.matrix.entry(self.origin)  # raises UnknownIdError
-        known = set(self.matrix.tests)
-        for t in self.tests:
-            if t not in known:
-                raise UnknownIdError(f"unknown test id {t!r}")
+        self.matrix._columns(self.tests)  # so does an unknown test
 
     def dimension(self) -> int:
         return len(self.tests)
 
     def mask(self, p: str) -> int:
-        """Packed position of ``p`` (bit i is ``tests[i]``), computed once."""
-        if p not in self._masks:
-            self._masks[p] = diff_mask(
-                self.differentiator, self.tests, self.origin, p, self.matrix
+        """Packed position of ``p`` (bit i is ``tests[i]``).  The first call
+        computes every program's position in one pass over the matrix."""
+        if not self._masks:
+            self._masks.update(
+                position_masks(self.differentiator, self.tests, self.origin, self.matrix)
             )
-        return self._masks[p]
+        try:
+            return self._masks[p]
+        except KeyError:
+            raise UnknownIdError(f"unknown program id {p!r}") from None
 
 
 @dataclass(frozen=True)

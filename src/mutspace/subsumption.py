@@ -48,6 +48,7 @@ def _subsumes(cx: int, cy: int) -> bool:
 
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
+_BITS = bytes.maketrans(b"01", b"\x00\x01")
 _CELL_TEXT = {"0": 0, "1": 1}
 
 
@@ -161,10 +162,10 @@ def kill_matrix(
         )
     if bm is not sp.matrix:  # the bits come from ``bm``
         sp = replace(sp, matrix=bm)
-    columns = [sp.mask(m) for m in mutants]
-    rows = tuple(
-        tuple(mask >> i & 1 for mask in columns) for i in range(len(sp.tests))
-    )
+    n = len(sp.tests)
+    # each mutant's n digits, last test first; test i's row is every n-th one
+    text = "".join([format(sp.mask(m), f"0{n}b") for m in mutants]).encode()
+    rows = tuple(tuple(text[n - 1 - i :: n].translate(_BITS)) for i in range(n))
     return KillMatrix(sp.tests, tuple(mutants), rows)
 
 
@@ -330,6 +331,10 @@ class EquivalenceCheck:
         return self.deviance_path_holds == self.subsumes
 
 
+# checks are immutable and there are four outcomes, so each is built once
+_OUTCOMES = {(a, b): EquivalenceCheck(a, b) for a in (False, True) for b in (False, True)}
+
+
 def deviance_subsumption_equivalence(
     sp: ProgramSpace, km: KillMatrix, mx: str, my: str
 ) -> EquivalenceCheck:
@@ -340,19 +345,16 @@ def deviance_subsumption_equivalence(
     Route two reads the kill matrix columns.  The pair (m, m) is
     defined as (False, False).
     """
-    if km.tests != sp.tests:
+    if km.tests is not sp.tests and km.tests != sp.tests:
         raise ValueError("kill matrix tests do not match the space dimensions")
     if mx == my:
-        return EquivalenceCheck(False, False)
+        return _OUTCOMES[False, False]
     pos_x, pos_y = sp.mask(mx), sp.mask(my)
     origin_precedes = pos_x != 0
     # lattice.deviant's order test, without its witness: pos_y keeps every
     # difference of pos_x, so the positions are equal or my deviates from mx
     x_to_y = not pos_x & ~pos_y
-    return EquivalenceCheck(
-        deviance_path_holds=origin_precedes and x_to_y,
-        subsumes=dynamically_subsumes(km, mx, my),
-    )
+    return _OUTCOMES[origin_precedes and x_to_y, _subsumes(km.mask(mx), km.mask(my))]
 
 
 def adequacy_from_kills(km: KillMatrix) -> AdequacyResult:

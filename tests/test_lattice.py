@@ -99,6 +99,18 @@ def test_lattice_capacity_error():
         build_lattice(-1)
 
 
+def test_position_lattice_refuses_the_dimensions_build_lattice_refuses():
+    names = tuple(f"t{i + 1}" for i in range(17))
+    with pytest.raises(CapacityError) as direct:
+        PositionLattice(17, names)
+    with pytest.raises(CapacityError) as built:
+        build_lattice(17)
+    assert str(direct.value) == str(built.value)
+    with pytest.raises(ValueError, match="nonnegative"):
+        PositionLattice(-1, ())
+    assert PositionLattice(16, names[:16]).dimension == 16
+
+
 def test_edges_flip_exactly_one_zero_bit():
     lattice = build_lattice(4)
     seen = set()

@@ -173,13 +173,13 @@ REFUSALS = [
     ("site_past_the_last", None, ("CRP", 1, 4, "1", "2"), ValueError, "expression site 4 out of range"),
     ("site_0_not_sdl", None, ("AOR", 1, 0, "+", "-"), ValueError, "site 0 is reserved for SDL"),
     ("wrong_operator", None, ("AOR", 1, 1, "*", "-"), ValueError,
-     "descriptor does not match site: expected operator '*'"),
+     "descriptor does not match site: site holds operator '+', not '*'"),
     ("operator_at_a_leaf", None, ("AOR", 1, 2, "+", "-"), ValueError,
-     "descriptor does not match site: expected operator '+'"),
+     "descriptor does not match site: site holds variable 'a', not '+'"),
     ("literal_at_an_operator", None, ("CRP", 1, 1, "1", "2"), ValueError,
      "descriptor does not match site: expected literal 1"),
     ("wrong_literal", None, ("CRP", 1, 3, "5", "6"), ValueError,
-     "descriptor does not match site: expected literal 5"),
+     "descriptor does not match site: site holds literal 1, not 5"),
     ("unknown_statement", None, ("SDL", 9, 0, "x = ...", ""), ValueError, "program has no statement 9"),
     ("non_statement", Program((SimpleNamespace(sid=1),)), ("AOR", 1, 1, "+", "-"), TypeError,
      "cannot mutate SimpleNamespace"),
