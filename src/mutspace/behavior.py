@@ -13,11 +13,11 @@ readers build one token per distinct cell.  Positions come from one pass
 over the columns (:func:`position_masks`): whether a token differs from the
 origin's is decided once per distinct token, then every row holding it
 gets the bit.  The exact, output and trace policies are equivalences, so
-they compare class ids numbered once per matrix and policy.  Numeric
-tolerance is not transitive (0 ~ 0.4 ~ 0.8 but 0 and 0.8 differ), so it
-is never interned into classes: the pass calls ``differs`` on the origin's
-token and each distinct token, which is exact because one side is always
-the origin's.
+the pass compares each distinct token's policy key with the origin's.
+Numeric tolerance is not transitive (0 ~ 0.4 ~ 0.8 but 0 and 0.8 differ),
+so it has no key: the pass calls ``differs`` on the origin's token and
+each distinct token, which is exact because one side is always the
+origin's.
 """
 from __future__ import annotations
 
@@ -187,7 +187,6 @@ class BehaviorMatrix:
         self._tests, self._programs, self._tables, self._ids = tests, entries, tables, ids
         self._rows = {p.id: r for r, p in enumerate(entries)}
         self._cols = {t: j for j, t in enumerate(tests)}
-        self._class_ids: dict[str, tuple[tuple[int, ...], ...]] = {}
         return self
 
     @property
@@ -232,14 +231,6 @@ class BehaviorMatrix:
             return [self._cols[t] for t in tests]
         except KeyError as exc:
             raise UnknownIdError(f"unknown test id {exc.args[0]!r}") from None
-
-    def _classes(self, policy: str) -> tuple[tuple[int, ...], ...]:
-        """Per column, the class of each token id under an equivalence
-        policy, numbered once per policy."""
-        if policy not in self._class_ids:
-            key = _POLICY_KEYS[policy]
-            self._class_ids[policy] = tuple(_numbered(map(key, t))[1] for t in self._tables)
-        return self._class_ids[policy]
 
     def token(self, program_id: str, test_id: str) -> BehaviorToken:
         r = self._row(program_id)
@@ -429,20 +420,8 @@ def differentiate(
 # --- packed difference bits ---------------------------------------------------
 #
 # The one encoding of difference bits is a mask: an int whose bit i is the
-# bit of tests[i].  Each bit compares two token ids of one column.
-
-
-def _id_differs(d: Differentiator, bm: BehaviorMatrix) -> Callable[[int, int, int], bool]:
-    """Whether token ids ``a`` and ``b`` of column ``j`` differ under ``d``.
-
-    Equivalence policies compare the ids' classes.  Numeric tolerance is
-    not transitive, so it calls ``differs`` on the two tokens themselves
-    and is never interned into classes."""
-    if d.policy == POLICY_NUMERIC:
-        tables = bm._tables
-        return lambda j, a, b: d.differs(tables[j][a], tables[j][b])
-    classes = bm._classes(d.policy)
-    return lambda j, a, b: classes[j][a] != classes[j][b]
+# bit of tests[i].  Each bit compares two tokens of one column; equal ids
+# hold equal tokens, so they never differ.
 
 
 def diff_mask(
@@ -457,8 +436,11 @@ def diff_mask(
     Unknown program and test ids raise :class:`UnknownIdError`, as
     :meth:`BehaviorMatrix.token` does."""
     x, y = bm._row(px), bm._row(py)
-    differ, ids = _id_differs(d, bm), bm._ids
-    return pack_bits(differ(j, ids[j][x], ids[j][y]) for j in bm._columns(tv))
+    tables, ids = bm._tables, bm._ids
+    return pack_bits(
+        ids[j][x] != ids[j][y] and d.differs(tables[j][ids[j][x]], tables[j][ids[j][y]])
+        for j in bm._columns(tv)
+    )
 
 
 def position_masks(
@@ -468,16 +450,22 @@ def position_masks(
     ``tv[i]``), in one pass over the columns.
 
     Per column, whether a token differs from the origin's is decided once
-    per distinct token; each row then reads the answer for its token id.
-    Under ``numeric`` that is one ``differs(origin token, token)`` call per
-    distinct token, which is exact because one side is always the origin's.
+    per distinct token, by comparing its policy key with the origin's; each
+    row then reads the answer for its token id.  ``numeric`` has no key, so
+    it makes one ``differs(origin token, token)`` call per distinct token,
+    which is exact because one side is always the origin's.
     """
     o = bm._row(origin)
-    differ = _id_differs(d, bm)
+    key = _POLICY_KEYS.get(d.policy)
     digits = []
     for j in reversed(bm._columns(tv)):  # the last test is the high bit
-        ids = bm._ids[j]
-        judged = bytes([48 + differ(j, ids[o], k) for k in range(len(bm._tables[j]))])
+        table, ids = bm._tables[j], bm._ids[j]
+        mine = table[ids[o]]
+        if key is None:
+            judged = bytes([48 + d.differs(mine, tok) for tok in table])
+        else:
+            mine_key = key(mine)
+            judged = bytes([48 + (key(tok) != mine_key) for tok in table])
         digits.append(bytes(map(judged.__getitem__, ids)))  # b"0" or b"1" per row
     text = b"".join(digits)
     rows = len(bm.programs)

@@ -293,9 +293,8 @@ def dmsg(kills, out):
 
 @analyze.command()
 @click.option("--n", "dimension", required=True, type=int)
-@click.option("--dot", "as_dot", is_flag=True, default=True, help="emit DOT (the only format)")
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
-def pdl(dimension, as_dot, out):
+def pdl(dimension, out):
     """Full position lattice of the given dimension, as DOT."""
     _emit(lattice_to_dot(build_lattice(dimension)), out)
 

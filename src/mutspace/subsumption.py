@@ -24,7 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .behavior import (
@@ -154,14 +154,15 @@ def kill_matrix(
     sp: ProgramSpace, mutants: Sequence[str], bm: BehaviorMatrix
 ) -> KillMatrix:
     """Kill bits of ``mutants`` against the space origin, which must carry
-    the ``original`` role.  Columns equal the mutants' positions in ``sp``."""
+    the ``original`` role.  Columns equal the mutants' positions in ``sp``,
+    so ``bm`` must be the space's matrix or equal to it."""
+    if bm is not sp.matrix and bm != sp.matrix:
+        raise ValueError("bm differs from sp.matrix, which the kill bits are read from")
     if bm.entry(sp.origin).role != ROLE_ORIGINAL:
         raise RoleError(
             f"kill matrices are defined against the original program; "
             f"{sp.origin!r} does not carry role 'original'"
         )
-    if bm is not sp.matrix:  # the bits come from ``bm``
-        sp = replace(sp, matrix=bm)
     n = len(sp.tests)
     # each mutant's n digits, last test first; test i's row is every n-th one
     text = "".join([format(sp.mask(m), f"0{n}b") for m in mutants]).encode()

@@ -240,7 +240,7 @@ def test_analyze_rejects_bad_csv(runner, tmp_path):
 
 
 def test_analyze_pdl(runner):
-    result = runner.invoke(main, ["analyze", "pdl", "--n", "3", "--dot"])
+    result = runner.invoke(main, ["analyze", "pdl", "--n", "3"])
     assert result.exit_code == 0
     nodes = [
         line for line in result.output.splitlines()
@@ -505,6 +505,8 @@ FAILURES = {
                          "error: unknown mutation operators ['XYZ']"),
     "pdl_negative": (["analyze", "pdl", "--n", "-1"], {},
                      "error: dimension must be nonnegative"),
+    "pdl_dot_removed": (["analyze", "pdl", "--n", "3", "--dot"], {},
+                        "No such option '--dot'"),
     "statements_not_map": (["mbfl", "--matrix", "{matrix}", "--statements", "{not_map}"], {},
                            "error: {not_map}: must map mutant ids to statements"),
     "mbfl_program_alone": (["mbfl", "--program", "{program}", "--tests", "{tests}"], {},

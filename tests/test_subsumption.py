@@ -18,7 +18,9 @@ from mutspace import (
     dmsg_to_dot,
     dynamically_subsumes,
     kill_matrix,
+    matrix_from_json_text,
     matrix_from_outputs,
+    matrix_to_json_text,
     max_minimal_size,
     minimal_mutant_set,
 )
@@ -54,6 +56,18 @@ def test_kill_matrix_requires_original_role():
     sp = ProgramSpace(bm.tests, "a", EXACT, bm)
     with pytest.raises(RoleError, match="original"):
         kill_matrix(sp, ["b"], bm)
+
+
+def test_kill_matrix_refuses_a_matrix_other_than_the_spaces():
+    km = four_mutant_kills()
+    bm = matrix_from_kill_bits(km)
+    sp = kill_space(km, bm)
+    other = matrix_from_kill_bits(KillMatrix(km.tests, km.mutants, km.bits[::-1]))
+    with pytest.raises(ValueError, match="bm differs from sp.matrix"):
+        kill_matrix(sp, list(km.mutants), other)
+    reloaded = matrix_from_json_text(matrix_to_json_text(bm))
+    assert reloaded is not bm
+    assert kill_matrix(sp, list(km.mutants), reloaded) == kill_matrix(sp, list(km.mutants), bm)
 
 
 def test_kill_matrix_with_no_mutants():

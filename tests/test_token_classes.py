@@ -4,10 +4,12 @@ A matrix stores each column as a table of distinct tokens plus one id per
 row, and positions come from one pass over the columns.  These tests
 recompute every bit with one ``Differentiator.differs`` call per cell and
 compare, including the non-transitive numeric policy, and check that every
-way of building a matrix yields the same value.
+way of building a matrix yields the same value and that reading positions
+leaves it unchanged.
 """
 from __future__ import annotations
 
+import copy
 import random
 import time
 
@@ -160,6 +162,35 @@ def test_a_changed_cell_makes_matrices_unequal():
     other = matrix_from_outputs(["t1", "t2"], {"p": ["1", "2"], "q": ["1", "1"]})
     assert bm != other
     assert bm == matrix_from_outputs(["t1", "t2"], dict(outputs))
+
+
+def test_reading_positions_leaves_every_matrix_unchanged():
+    tests = ["t1", "t2", "t3"]
+    programs = [ProgramEntry("po", "original"), ProgramEntry("m1", "mutant", "po"),
+                ProgramEntry("m2", "mutant", "po")]
+    cells = {p.id: {t: TRACED_TOKENS[(i + j) % len(TRACED_TOKENS)] for j, t in enumerate(tests)}
+             for i, p in enumerate(programs)}
+    constructed = BehaviorMatrix(tests, programs, cells)
+    from_outputs = matrix_from_outputs(
+        tests, {"po": ["0", "0.4", "x"], "m1": ["0.8", "0.4", "x"], "m2": ["0", "1", "y"]},
+        roles={"po": "original", "m1": "mutant", "m2": "mutant"},
+    )
+    program = parse(MAX_SRC)
+    executed = behavior_matrix(program, mutate_all(program),
+                               [TestCase(f"k{i}", {"a": i, "b": 2 - i}) for i in range(3)],
+                               tracing=True)
+    for bm in (constructed, from_outputs, matrix_from_json_text(matrix_to_json_text(constructed)),
+               executed):
+        before = copy.deepcopy(vars(bm))
+        mutants = list(bm.mutant_ids())
+        for d in POLICIES:
+            sp = ProgramSpace(bm.tests, bm.original_id, d, bm)
+            for p in bm.program_ids():
+                sp.mask(p)
+                diff_mask(d, bm.tests, sp.origin, p, bm)
+            mutation_adequacy(d, bm.tests, sp.origin, mutants, bm)
+            kill_matrix(sp, mutants, bm)
+        assert vars(bm) == before
 
 
 def test_kill_matrix_over_20000_mutants_of_4_outputs_is_fast():
