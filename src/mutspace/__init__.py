@@ -55,7 +55,6 @@ from .mbfl import (
     rank_statements,
 )
 from .space import (
-    Position,
     ProgramSpace,
     coincidence_counterexample,
     distance_from_origin,

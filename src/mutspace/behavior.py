@@ -187,6 +187,8 @@ class BehaviorMatrix:
         self._tests, self._programs, self._tables, self._ids = tests, entries, tables, ids
         self._rows = {p.id: r for r, p in enumerate(entries)}
         self._cols = {t: j for j, t in enumerate(tests)}
+        holders = {p.role: p.id for p in entries}  # spec and original are unique
+        self._spec_id, self._original_id = holders.get(ROLE_SPEC), holders.get(ROLE_ORIGINAL)
         return self
 
     @property
@@ -203,19 +205,13 @@ class BehaviorMatrix:
     def entry(self, program_id: str) -> ProgramEntry:
         return self._programs[self._row(program_id)]
 
-    def role_holder(self, role: str) -> Optional[str]:
-        for p in self._programs:
-            if p.role == role:
-                return p.id
-        return None
-
     @property
     def spec_id(self) -> Optional[str]:
-        return self.role_holder(ROLE_SPEC)
+        return self._spec_id
 
     @property
     def original_id(self) -> Optional[str]:
-        return self.role_holder(ROLE_ORIGINAL)
+        return self._original_id
 
     def mutant_ids(self) -> tuple[str, ...]:
         return tuple(p.id for p in self._programs if p.role == ROLE_MUTANT)

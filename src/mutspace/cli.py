@@ -10,7 +10,6 @@ Exit codes: 0 success, 2 input error (parse or schema), 3 role error,
 from __future__ import annotations
 
 import json
-import os
 import sys
 from contextlib import contextmanager
 from dataclasses import asdict
@@ -57,8 +56,6 @@ EXIT_INPUT = 2
 EXIT_ROLE = 3
 EXIT_CAPACITY = 4
 
-BUDGET_ENV = "MUTSPACE_BUDGET"
-
 POLICY_CHOICES = click.Choice(POLICIES)
 
 
@@ -73,18 +70,12 @@ def _differentiator(policy: str, epsilon: Optional[float]) -> Differentiator:
 
 
 def _budget(budget: Optional[int]) -> int:
-    """--budget, else $MUTSPACE_BUDGET, else the interpreter default.  A
-    budget that is not positive would time out every cell: an input error."""
+    """--budget, else the interpreter default.  A budget that is not
+    positive would time out every cell: an input error."""
     if budget is None:
-        raw = os.environ.get(BUDGET_ENV, str(lang.DEFAULT_BUDGET))
-        try:
-            budget = int(raw)
-        except ValueError:
-            raise click.UsageError(f"{BUDGET_ENV} must be an integer, got {raw!r}")
+        return lang.DEFAULT_BUDGET
     if budget <= 0:
-        raise click.UsageError(
-            f"the step budget (--budget or {BUDGET_ENV}) must be positive, got {budget}"
-        )
+        raise click.UsageError(f"--budget must be positive, got {budget}")
     return budget
 
 
@@ -239,7 +230,7 @@ def mutate(source, operators, out_dir):
 @click.option("--expected", "expected_path", default=None, type=click.Path(exists=True, dir_okay=False))
 @click.option("--operators", default=",".join(lang.ALL_OPERATORS), show_default=True)
 @click.option("--trace/--no-trace", "tracing", default=False, show_default=True)
-@click.option("--budget", type=int, default=None, help=f"step budget (default {BUDGET_ENV} or {lang.DEFAULT_BUDGET})")
+@click.option("--budget", type=int, default=None, help=f"step budget (default {lang.DEFAULT_BUDGET})")
 @click.option("--out", default=None, type=click.Path(dir_okay=False))
 def run(program_path, tests_path, expected_path, operators, tracing, budget, out):
     """Mutate a program, execute everything, and emit a behavior matrix."""
@@ -349,6 +340,8 @@ def mbfl(matrix_path, statements_path, program_path, tests_path, expected_path,
     """
     d = _differentiator(policy, epsilon)
     ctx = click.get_current_context()
+    if method == METHOD_FIX:
+        _refuse_options(ctx, "--method fix", "metric")
     statements: dict[str, object] = {}
     if matrix_path is not None:
         _refuse_options(ctx, "--matrix", "program_path", "tests_path", "expected_path",

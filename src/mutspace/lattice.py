@@ -1,5 +1,6 @@
 """The deviance relation between positions and the hypercube lattice of
-all positions of a space.
+all positions of a space.  A position is a program's d-vector from the
+space's origin (a :class:`DiffVector`).
 
 Position y *deviates from* position x by a nonempty test set when the two
 agree everywhere else, x matches the origin on those tests, and y opposes
@@ -15,12 +16,12 @@ meets the masks only in ``_rank``, which places DOT labels and orders ``project`
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .behavior import pack_bits, select, unpack_bits
+from .behavior import DiffVector, pack_bits, select, unpack_bits
 from .errors import CapacityError
-from .space import Position, ProgramSpace
+from .space import ProgramSpace
 
 Node = tuple[int, ...]
 
@@ -139,29 +140,27 @@ def annotate(
 
 
 def project(
-    obj: Union[PositionLattice, Position], k: int
-) -> Union[PositionLattice, Position]:
-    """Truncate to the first ``k`` dimensions.
+    obj: Union[PositionLattice, DiffVector], k: int
+) -> Union[PositionLattice, DiffVector]:
+    """Truncate a lattice or a position (a d-vector) to the first ``k``
+    dimensions.
 
     Distinct positions may coalesce; running k = 1..n forward replays how
     the lattice grows as tests are added one at a time.
     """
-    if isinstance(obj, PositionLattice):
-        if not 0 <= k <= obj.dimension:
-            raise ValueError(f"prefix length {k} out of range 0..{obj.dimension}")
-        low = (1 << k) - 1
-        merged: dict[int, dict[str, None]] = {}
-        # in nodes() order, so each coalesced list keeps its sources' order
-        for mask in sorted(obj.annotations, key=lambda m: _rank(m, obj.dimension)):
-            merged.setdefault(mask & low, {}).update(dict.fromkeys(obj.annotations[mask]))
-        return PositionLattice(k, obj.tests[:k], {m: tuple(v) for m, v in merged.items()})
-    if isinstance(obj, Position):
-        sp = obj.space
-        if not 0 <= k <= len(sp.tests):
-            raise ValueError(f"prefix length {k} out of range 0..{len(sp.tests)}")
-        sub = ProgramSpace(sp.tests.prefix(k), sp.origin, sp.differentiator, sp.matrix)
-        return Position(obj.mask & ((1 << k) - 1), sub, obj.subject)
-    raise TypeError(f"cannot project {type(obj).__name__}")
+    if not isinstance(obj, (PositionLattice, DiffVector)):
+        raise TypeError(f"cannot project {type(obj).__name__}")
+    n = len(obj.tests)
+    if not 0 <= k <= n:
+        raise ValueError(f"prefix length {k} out of range 0..{n}")
+    low = (1 << k) - 1
+    if isinstance(obj, DiffVector):
+        return replace(obj, mask=obj.mask & low, tests=obj.tests.prefix(k))
+    merged: dict[int, dict[str, None]] = {}
+    # in nodes() order, so each coalesced list keeps its sources' order
+    for mask in sorted(obj.annotations, key=lambda m: _rank(m, n)):
+        merged.setdefault(mask & low, {}).update(dict.fromkeys(obj.annotations[mask]))
+    return PositionLattice(k, obj.tests[:k], {m: tuple(v) for m, v in merged.items()})
 
 
 def reachable_by_deviance(lattice: PositionLattice, start: Node) -> set[Node]:

@@ -60,8 +60,8 @@ class FaultLocalizationInput:
             self, "mutants", tuple((m, s) for m, s in self.mutants)
         )
         object.__setattr__(self, "tests", TestVector.of(self.tests))
-        for role in (ROLE_SPEC, ROLE_ORIGINAL):
-            if self.matrix.role_holder(role) is None:
+        for role, holder in ((ROLE_SPEC, self.spec_id), (ROLE_ORIGINAL, self.original_id)):
+            if holder is None:
                 raise RoleError(f"fault localization requires a program with role {role!r}")
         ids = [m for m, _ in self.mutants]
         if len(set(ids)) != len(ids):
@@ -76,11 +76,11 @@ class FaultLocalizationInput:
 
     @property
     def spec_id(self) -> str:
-        return self.matrix.role_holder(ROLE_SPEC)
+        return self.matrix.spec_id
 
     @property
     def original_id(self) -> str:
-        return self.matrix.role_holder(ROLE_ORIGINAL)
+        return self.matrix.original_id
 
     def mutant_ids(self) -> tuple[str, ...]:
         return tuple(m for m, _ in self.mutants)

@@ -1,10 +1,12 @@
 """Program spaces: positions of programs relative to an origin.
 
 A space is identified by (tests, origin, differentiator); the behavior
-matrix is carried along only as the data source.  Every program's position
-is computed from the matrix in one pass on first use and then kept as a
-mask on the space.  Cached positions cannot go stale because matrices are
-immutable, and the cache is write-once, so spaces stay safe to share.
+matrix is carried along only as the data source.  A program's position is
+its d-vector from the origin, a :class:`DiffVector`.  Every program's
+position is computed from the matrix in one pass on first use and then
+kept as a mask on the space.  Cached positions cannot go stale because
+matrices are immutable, and the cache is write-once, so spaces stay safe
+to share.
 """
 from __future__ import annotations
 
@@ -13,12 +15,12 @@ from typing import Optional
 
 from .behavior import (
     BehaviorMatrix,
+    DiffVector,
     Differentiator,
     TestVector,
     diff_mask,
     position_masks,
     select,
-    unpack_bits,
 )
 from .errors import UnknownIdError
 
@@ -60,32 +62,19 @@ class ProgramSpace:
             raise UnknownIdError(f"unknown program id {p!r}") from None
 
 
-@dataclass(frozen=True)
-class Position:
-    """A program's difference bits relative to the space origin, packed in
-    ``mask``; ``bits`` is the per-test tuple view."""
-
-    mask: int
-    space: ProgramSpace
-    subject: str
-
-    @property
-    def bits(self) -> tuple[int, ...]:
-        return unpack_bits(self.mask, len(self.space.tests))
+def position(sp: ProgramSpace, p: str) -> DiffVector:
+    """The d-vector from the origin to program ``p``; the origin sits at
+    the zero vector."""
+    return DiffVector(sp.mask(p), sp.tests, sp.origin, p, sp.differentiator.id)
 
 
-def position(sp: ProgramSpace, p: str) -> Position:
-    """Locate program ``p`` in the space; the origin sits at the zero vector."""
-    return Position(sp.mask(p), sp, p)
-
-
-def distance_from_origin(pos: Position) -> int:
-    """Manhattan norm of the position bits.
+def distance_from_origin(v: DiffVector) -> int:
+    """Manhattan norm of a position.
 
     With a spec-row origin this measures the subject's incorrectness; with
     an original-row origin and a mutant subject, how easily it is killed.
     """
-    return pos.mask.bit_count()
+    return v.norm()
 
 
 def distinguishing_dimensions(sp: ProgramSpace, px: str, py: str) -> list[str]:

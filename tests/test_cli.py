@@ -115,7 +115,7 @@ def test_run_output_is_byte_stable(runner, tmp_path):
     assert first.output == second.output
 
 
-def test_run_honors_budget_env_var(runner, tmp_path):
+def test_run_honors_budget_option(runner, tmp_path):
     program = tmp_path / "loop.src"
     program.write_text("i = 0;\nwhile (i >= 0) {\n  i = i + 1;\n}\nreturn i;\n")
     tests = tmp_path / "tests.json"
@@ -123,8 +123,7 @@ def test_run_honors_budget_env_var(runner, tmp_path):
     result = runner.invoke(
         main,
         ["run", "--program", str(program), "--tests", str(tests),
-         "--operators", "SDL"],
-        env={"MUTSPACE_BUDGET": "50"},
+         "--operators", "SDL", "--budget", "50"],
     )
     assert result.exit_code == 0
     from mutspace import matrix_from_json_text
@@ -138,7 +137,6 @@ def test_run_honors_budget_env_var(runner, tmp_path):
     [
         (["--budget", "0"], {}, "--budget"),
         (["--budget", "-5"], {}, "--budget"),
-        ([], {"MUTSPACE_BUDGET": "0"}, "MUTSPACE_BUDGET"),
     ],
 )
 def test_run_rejects_nonpositive_budget(runner, tmp_path, args, env, source):
@@ -487,8 +485,6 @@ FAILURES = {
                                  "--expected", "{expected}", "--policy", "trace",
                                  "--epsilon", "0.5"], {},
                                 "--epsilon: policy 'trace' does not take a tolerance"),
-    "budget_env_not_int": (RUN, {"MUTSPACE_BUDGET": "lots"},
-                           "MUTSPACE_BUDGET must be an integer, got 'lots'"),
     "tests_not_list": (RUN_TESTS + ["{not_list}"], {},
                        "error: {not_list}: test suite must be a JSON list"),
     "test_without_id": (RUN_TESTS + ["{no_id}"], {},
@@ -509,6 +505,9 @@ FAILURES = {
                         "No such option '--dot'"),
     "statements_not_map": (["mbfl", "--matrix", "{matrix}", "--statements", "{not_map}"], {},
                            "error: {not_map}: must map mutant ids to statements"),
+    "mbfl_fix_with_metric": (["mbfl", "--matrix", "{matrix}", "--method", "fix",
+                              "--metric", "jaccard"], {},
+                             "--method fix mode does not take --metric"),
     "mbfl_program_alone": (["mbfl", "--program", "{program}", "--tests", "{tests}"], {},
                            "--program mode requires --tests and --expected"),
     "mbfl_no_mode": (["mbfl"], {}, "pass either --matrix or --program"),

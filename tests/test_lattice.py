@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from mutspace import (
     CapacityError,
+    DiffVector,
     Differentiator,
     PositionLattice,
     ProgramSpace,
+    TestVector,
     annotate,
     build_lattice,
     deviant,
@@ -231,6 +233,11 @@ def test_projection_of_a_position():
     assert project(pos, 2).bits == (0, 1)
     assert project(pos, 0).bits == ()
     assert project(pos, 3).bits == pos.bits
+
+
+def test_projecting_a_d_vector_needs_no_matrix():
+    v = DiffVector(0b101, TestVector(("a", "b", "c")), "x", "y", "exact")
+    assert project(v, 2) == DiffVector(0b01, TestVector(("a", "b")), "x", "y", "exact")
 
 
 # --- reachability ----------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -278,6 +279,27 @@ def test_input_requires_both_roles():
     )
     with pytest.raises(RoleError, match="spec"):
         FaultLocalizationInput(bm, (("m", 1),), bm.tests, EXACT)
+
+
+def test_ranking_is_linear_in_mutants_with_the_spec_row_last():
+    # the minilang pipeline writes the spec row last; a role lookup that
+    # scans the rows on every score makes flt quadratic in the mutants
+    rng = random.Random(20)
+    n, count = 16, 20_000
+    rows = {"po": [str(rng.randrange(3)) for _ in range(n)]}
+    for j in range(count):
+        rows[f"m{j}"] = [str(rng.randrange(3)) for _ in range(n)]
+    rows["ps"] = [str(rng.randrange(3)) for _ in range(n)]
+    roles = {pid: "mutant" for pid in rows} | {"ps": "spec", "po": "original"}
+    origins = {f"m{j}": "po" for j in range(count)}
+    bm = matrix_from_outputs([f"t{i + 1}" for i in range(n)], rows, roles=roles, origins=origins)
+    start = time.perf_counter()
+    inp = localization_input(bm, [(f"m{j}", j % 50) for j in range(count)])
+    fix = rank_statements(inp, "fix")
+    flt = rank_statements(inp, "flt")
+    elapsed = time.perf_counter() - start
+    assert len(fix.mutant_scores) == len(flt.mutant_scores) == count
+    assert elapsed < 1.0, f"fix and flt ranking of {count} mutants took {elapsed:.2f}s"
 
 
 def test_average_ranks_depend_only_on_score_order():

@@ -15,6 +15,7 @@ from mutspace import (
     distance_from_origin,
     distinguishing_dimensions,
     position,
+    project,
 )
 from helpers import (
     four_mutant_kills,
@@ -25,6 +26,12 @@ from helpers import (
 )
 
 EXACT = Differentiator.exact()
+POLICIES = [
+    EXACT,
+    Differentiator.output_only(),
+    Differentiator.trace_only(),
+    Differentiator.numeric(0.5),
+]
 
 
 def spec_space():
@@ -155,6 +162,24 @@ def test_equal_positions_with_different_behaviors_are_reachable():
             if coincidence_counterexample(sp, "p1", "p2"):
                 found += 1
     assert found >= 1
+
+
+@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 5), st.integers(1, 4), st.sampled_from(POLICIES))
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_a_position_is_the_d_vector_from_the_origin_and_projects_to_a_prefix(
+    seed, n_tests, alphabet, d
+):
+    # ties the column-pass kernel behind positions to the pairwise one,
+    # and truncating a position to reading it in the prefix space
+    bm = random_matrix(random.Random(seed), n_tests, 4, alphabet)
+    for origin in bm.program_ids():
+        sp = ProgramSpace(bm.tests, origin, d, bm)
+        prefixes = [ProgramSpace(sp.tests.prefix(k), origin, d, bm) for k in range(n_tests + 1)]
+        for p in bm.program_ids():
+            v = position(sp, p)
+            assert v == diff_vector(d, sp.tests, origin, p, bm)
+            for k, sub in enumerate(prefixes):
+                assert project(v, k) == position(sub, p)
 
 
 def test_coincidence_counterexample_names_unknown_programs():
