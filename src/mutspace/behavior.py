@@ -470,7 +470,11 @@ def position_masks(
 
 def pack_bits(bits: Iterable[int]) -> int:
     """Mask of a tuple view: bit i is set iff ``bits[i]`` is."""
-    return sum(1 << i for i, b in enumerate(bits) if b)
+    mask = 0
+    for i, b in enumerate(bits):
+        if b:
+            mask |= 1 << i
+    return mask
 
 
 def unpack_bits(mask: int, n: int) -> tuple[int, ...]:
@@ -491,6 +495,21 @@ def iter_bits(mask: int) -> Iterator[int]:
     while i >= 0:
         yield i
         i = text.find("1", i + 1)
+
+
+def submask(x: int, y: int) -> bool:
+    """Every set bit of ``x`` is also set in ``y``: the order of positions
+    and kill columns, read by deviance, subsumption and the lattice."""
+    return x & ~y == 0
+
+
+def group_by_mask(pairs: Iterable[tuple[int, str]]) -> dict[int, tuple[str, ...]]:
+    """Names grouped by mask from (mask, name) pairs.  Masks and names keep
+    first-seen order, and each name appears once per mask."""
+    groups: dict[int, dict[str, None]] = {}
+    for mask, name in pairs:
+        groups.setdefault(mask, {})[name] = None
+    return {mask: tuple(names) for mask, names in groups.items()}
 
 
 def select(mask: int, items: Sequence) -> tuple:

@@ -25,6 +25,7 @@ from .behavior import (
     POLICY_EXACT,
     POLICY_NUMERIC,
     POLICY_OUTPUT,
+    POLICY_TRACE,
     Differentiator,
     TestVector,
     diff_vector,
@@ -353,8 +354,9 @@ def mbfl(matrix_path, statements_path, program_path, tests_path, expected_path,
         _refuse_options(ctx, "--program", "statements_path")
         if tests_path is None or expected_path is None:
             raise click.UsageError("--program mode requires --tests and --expected")
+        tracing = d.policy in (POLICY_TRACE, POLICY_EXACT)
         mutants, bm = _execute(
-            program_path, tests_path, expected_path, operators, False, budget
+            program_path, tests_path, expected_path, operators, tracing, budget
         )
         statements = {desc.id: desc.statement for desc, _ in mutants}
     else:

@@ -4,9 +4,9 @@ space's origin (a :class:`DiffVector`).
 
 Position y *deviates from* position x by a nonempty test set when the two
 agree everywhere else, x matches the origin on those tests, and y opposes
-it.  Equivalently: x's 1-set is a strict subset of y's.  Flipping a single
-bit 0->1 gives the lattice edges; the full structure is the n-dimensional
-hypercube with 2^n nodes and n*2^(n-1) directed edges.
+it.  Equivalently: x's mask is a strict ``behavior.submask`` of y's.
+Flipping a single bit 0->1 gives the lattice edges; the full structure is
+the n-dimensional hypercube with 2^n nodes and n*2^(n-1) directed edges.
 
 Nodes are masks in the space's bit order (bit i is ``tests[i]``), and
 ``PositionLattice.annotations`` is keyed by them; ``nodes()``, ``edges()``
@@ -19,7 +19,7 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
 
-from .behavior import DiffVector, pack_bits, select, unpack_bits
+from .behavior import DiffVector, group_by_mask, pack_bits, select, submask, unpack_bits
 from .errors import CapacityError
 from .space import ProgramSpace
 
@@ -67,13 +67,10 @@ def deviant(sp: ProgramSpace, px: str, py: str) -> Optional[DevianceWitness]:
     agreeing.  Equal positions (in particular ``px == py``) yield ``None``.
     """
     bx, by = sp.mask(px), sp.mask(py)
-    if bx & ~by:  # py would have to lose a difference: not deviance
-        return None
-    td = by & ~bx
-    if not td:
+    if bx == by or not submask(bx, by):
         return None
     n = len(sp.tests)
-    return DevianceWitness(unpack_bits(bx, n), unpack_bits(by, n), select(td, sp.tests))
+    return DevianceWitness(unpack_bits(bx, n), unpack_bits(by, n), select(by & ~bx, sp.tests))
 
 
 @dataclass(frozen=True)
@@ -132,10 +129,9 @@ def annotate(
             f"lattice dimensions {lattice.tests!r} do not match "
             f"space dimensions {tuple(sp.tests)!r}"
         )
-    merged = {mask: dict.fromkeys(progs) for mask, progs in lattice.annotations.items()}
-    for p in programs:
-        merged.setdefault(sp.mask(p), {})[p] = None
-    annotations = {m: tuple(v) for m, v in merged.items()}
+    held = ((mask, p) for mask, progs in lattice.annotations.items() for p in progs)
+    added = ((sp.mask(p), p) for p in programs)
+    annotations = group_by_mask(itertools.chain(held, added))
     return PositionLattice(lattice.dimension, lattice.tests, annotations)
 
 
@@ -156,31 +152,25 @@ def project(
     low = (1 << k) - 1
     if isinstance(obj, DiffVector):
         return replace(obj, mask=obj.mask & low, tests=obj.tests.prefix(k))
-    merged: dict[int, dict[str, None]] = {}
     # in nodes() order, so each coalesced list keeps its sources' order
-    for mask in sorted(obj.annotations, key=lambda m: _rank(m, n)):
-        merged.setdefault(mask & low, {}).update(dict.fromkeys(obj.annotations[mask]))
-    return PositionLattice(k, obj.tests[:k], {m: tuple(v) for m, v in merged.items()})
+    ranked = sorted(obj.annotations, key=lambda m: _rank(m, n))
+    pairs = ((mask & low, p) for mask in ranked for p in obj.annotations[mask])
+    return PositionLattice(k, obj.tests[:k], group_by_mask(pairs))
 
 
 def reachable_by_deviance(lattice: PositionLattice, start: Node) -> set[Node]:
     """All nodes reachable from ``start`` along directed edges.
 
-    By hypercube structure this is exactly the set of strict bitwise
-    supersets of ``start``, which is how it is computed; the graph-search
-    equivalence is exercised by the test suite.
+    By hypercube structure this is exactly the set of nodes of which
+    ``start`` is a strict submask, which is how it is computed; the
+    graph-search equivalence is exercised by the test suite.
     """
     start = tuple(start)
+    n = lattice.dimension
     base = pack_bits(start)
-    if unpack_bits(base, lattice.dimension) != start:
+    if unpack_bits(base, n) != start:
         raise ValueError(f"{start!r} is not a node of this lattice")
-    free = ~base & ((1 << lattice.dimension) - 1)
-    out: set[Node] = set()
-    extra = free
-    while extra:  # every nonempty subset of the free bits, once
-        out.add(unpack_bits(base | extra, lattice.dimension))
-        extra = (extra - 1) & free
-    return out
+    return {unpack_bits(m, n) for m in range(1 << n) if m != base and submask(base, m)}
 
 
 def dot_escape(name: str) -> str:

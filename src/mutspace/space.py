@@ -46,9 +46,6 @@ class ProgramSpace:
         self.matrix.entry(self.origin)  # raises UnknownIdError
         self.matrix._columns(self.tests)  # so does an unknown test
 
-    def dimension(self) -> int:
-        return len(self.tests)
-
     def mask(self, p: str) -> int:
         """Packed position of ``p`` (bit i is ``tests[i]``).  The first call
         computes every program's position in one pass over the matrix."""

@@ -11,12 +11,15 @@ from collections import deque
 
 from mutspace import (
     BehaviorMatrix,
+    BehaviorToken,
     Differentiator,
     KillMatrix,
+    ProgramEntry,
     ProgramSpace,
     TestVector,
     matrix_from_outputs,
 )
+from mutspace.behavior import STATUS_ERROR, STATUS_NORMAL, STATUS_TIMEOUT
 
 # max(a, b) in four statements; the if-condition is the interesting site
 MAX_SRC = """m = a;
@@ -131,6 +134,32 @@ def random_matrix(
         for j in range(n_programs)
     }
     return matrix_from_outputs(tests, outputs, roles=roles)
+
+
+NUMERIC_OUTPUTS = ("0", "0.4", "0.8", "x")
+STATUS_DRAWS = (STATUS_NORMAL, STATUS_ERROR, STATUS_TIMEOUT)
+TRACES = (((1, "a"),), ((1, "b"),), ((1, "a"), (2, "a")))
+
+
+def random_policy_matrix(rng: random.Random, n_tests: int, n_programs: int) -> BehaviorMatrix:
+    """Random matrix that every policy reads: each cell has an output from
+    ``NUMERIC_OUTPUTS`` (within and beyond a 0.5 tolerance of each other,
+    and one that is not a number), a status and a trace.  ``p0`` is the
+    original; each field of a mutant's cell keeps ``p0``'s value with
+    probability 1/2, so the policies disagree on which cells differ."""
+    tests = [f"t{i + 1}" for i in range(n_tests)]
+    pools = (NUMERIC_OUTPUTS, STATUS_DRAWS, TRACES)
+    origin = {t: [rng.choice(pool) for pool in pools] for t in tests}
+
+    def near(mine, pool):
+        return mine if rng.random() < 0.5 else rng.choice(pool)
+
+    cells = {"p0": {t: BehaviorToken(*origin[t]) for t in tests}}
+    for j in range(1, n_programs):
+        cells[f"p{j}"] = {t: BehaviorToken(*map(near, origin[t], pools)) for t in tests}
+    programs = [ProgramEntry("p0", "original")]
+    programs += [ProgramEntry(p, "mutant", "p0") for p in list(cells)[1:]]
+    return BehaviorMatrix(tests, programs, cells)
 
 
 def random_kill_matrix(rng: random.Random, n_tests: int, n_mutants: int) -> KillMatrix:

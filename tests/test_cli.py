@@ -385,6 +385,38 @@ def test_mbfl_matrix_mode_with_statement_map(runner, tmp_path):
     assert report["ranking"][0]["statement"] == 1
 
 
+POLICY_ARGS = {
+    "output": ["--policy", "output"],
+    "trace": ["--policy", "trace"],
+    "exact": ["--policy", "exact"],
+    "numeric": ["--policy", "numeric", "--epsilon", "0.5"],
+}
+
+
+@pytest.mark.parametrize("method", ["fix", "flt"])
+@pytest.mark.parametrize("policy", sorted(POLICY_ARGS))
+def test_mbfl_program_mode_equals_run_then_matrix_mode(runner, tmp_path, policy, method):
+    """--program traces exactly when its policy reads traces, so it scores
+    the matrix that ``run [--trace]`` writes."""
+    program, tests, expected = write_faulty_inputs(tmp_path)
+    inputs = ["--program", str(program), "--tests", str(tests), "--expected", str(expected)]
+    mutated = runner.invoke(main, ["mutate", str(program)])
+    assert mutated.exit_code == 0
+    statements = tmp_path / "statements.json"
+    statements.write_text(json.dumps({d["id"]: d["statement"] for d in json.loads(mutated.output)}))
+    matrix = tmp_path / "matrix.json"
+    tracing = ["--trace"] if policy in ("trace", "exact") else []
+    ran = runner.invoke(main, ["run", *inputs, *tracing, "--out", str(matrix)])
+    assert ran.exit_code == 0
+    options = ["--method", method, *POLICY_ARGS[policy]]
+    direct = runner.invoke(main, ["mbfl", *inputs, *options])
+    via_matrix = runner.invoke(
+        main, ["mbfl", "--matrix", str(matrix), "--statements", str(statements), *options]
+    )
+    assert direct.exit_code == 0 and via_matrix.exit_code == 0
+    assert direct.output == via_matrix.output
+
+
 def test_mbfl_missing_spec_row_exits_3(runner, tmp_path):
     from mutspace import matrix_from_outputs
 

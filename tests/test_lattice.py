@@ -264,6 +264,15 @@ def test_reachability_agrees_with_graph_search(n):
         assert reachable_by_deviance(lattice, node) == bfs_reachable(lattice, node)
 
 
+def test_reachability_from_the_bottom_of_the_largest_explicit_lattice_is_fast():
+    lattice = build_lattice(16)
+    start = time.perf_counter()
+    reached = reachable_by_deviance(lattice, (0,) * 16)
+    elapsed = time.perf_counter() - start
+    assert len(reached) == 2 ** 16 - 1
+    assert elapsed < 0.5
+
+
 # --- DOT export ------------------------------------------------------------------------
 
 

@@ -7,14 +7,18 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from mutspace import (
+    DevianceWitness,
     Differentiator,
     KillMatrix,
     ProgramSpace,
     RoleError,
     TestVector,
     adequacy_from_kills,
+    annotate,
     build_dmsg,
+    build_lattice,
     deviance_subsumption_equivalence,
+    deviant,
     dmsg_to_dot,
     dynamically_subsumes,
     kill_matrix,
@@ -23,7 +27,9 @@ from mutspace import (
     matrix_to_json_text,
     max_minimal_size,
     minimal_mutant_set,
+    reachable_by_deviance,
 )
+from mutspace.behavior import unpack_bits
 from helpers import (
     FOUR_MUTANT_CSV,
     brute_force_subsumes,
@@ -32,6 +38,7 @@ from helpers import (
     matrix_from_kill_bits,
     max_antichain_by_enumeration,
     random_kill_matrix,
+    random_policy_matrix,
 )
 
 EXACT = Differentiator.exact()
@@ -459,6 +466,78 @@ def test_equivalence_holds_on_random_matrices():
             check = deviance_subsumption_equivalence(sp, km, mx, my)
             assert check.agree()
             assert check.subsumes == brute_force_subsumes(km, mx, my)
+
+
+POLICY_DIFFERENTIATORS = [
+    Differentiator.exact(),
+    Differentiator.output_only(),
+    Differentiator.trace_only(),
+    Differentiator.numeric(0.5),
+]
+
+
+@given(
+    st.integers(0, 2 ** 32 - 1),
+    st.integers(0, 8),
+    st.integers(1, 6),
+    st.sampled_from(POLICY_DIFFERENTIATORS),
+)
+@settings(max_examples=120, derandomize=True, deadline=None)
+def test_order_kernel_matches_a_tuple_brute_force_under_every_policy(seed, n, n_programs, d):
+    # deviance, reachability, subsumption, the DMSG and the lattice all read
+    # one submask predicate and one grouping by mask; here each is restated
+    # on per-test tuples
+    bm = random_policy_matrix(random.Random(seed), n, n_programs)
+    sp = ProgramSpace(bm.tests, "p0", d, bm)
+    mutants = bm.mutant_ids()
+    km = kill_matrix(sp, mutants, bm)
+    tests = tuple(bm.tests)
+    pos = {
+        p: tuple(int(d.differs(bm.token("p0", t), bm.token(p, t))) for t in tests)
+        for p in bm.program_ids()
+    }
+    assert all(unpack_bits(sp.mask(p), n) == v for p, v in pos.items())
+
+    def within(x, y):
+        return all(a <= b for a, b in zip(x, y))
+
+    lattice = build_lattice(n, tests)
+    nodes = list(lattice.nodes())
+    for px, x in pos.items():
+        assert reachable_by_deviance(lattice, x) == {v for v in nodes if v != x and within(x, v)}
+        for py, y in pos.items():
+            witness = deviant(sp, px, py)
+            if x != y and within(x, y):
+                deviating = tuple(t for t, a, b in zip(tests, x, y) if a < b)
+                assert witness == DevianceWitness(x, y, deviating)
+            else:
+                assert witness is None
+            if px in mutants and py in mutants:
+                expected = px != py and any(x) and within(x, y)
+                check = deviance_subsumption_equivalence(sp, km, px, py)
+                assert (check.deviance_path_holds, check.subsumes) == (expected, expected)
+
+    columns: dict = {}
+    for m in mutants:
+        columns.setdefault(pos[m], []).append(m)
+    live = tuple(columns.pop((0,) * n, ()))
+    keys = list(columns)
+    pairs = itertools.permutations(range(len(keys)), 2)
+    strict = {(i, j) for i, j in pairs if within(keys[i], keys[j])}
+    covering = sorted(
+        (i, j) for i, j in strict
+        if not any((i, k) in strict and (k, j) in strict for k in range(len(keys)))
+    )
+    graph = build_dmsg(km)
+    assert [(c.members, unpack_bits(c.mask, n)) for c in graph.classes] == [
+        (tuple(columns[k]), k) for k in keys
+    ]
+    assert list(graph.edges) == covering
+    assert graph.live == live
+
+    annotations = dict(annotate(lattice, sp, mutants).annotations)
+    assert annotations.pop(0, ()) == graph.live
+    assert annotations == {c.mask: c.members for c in graph.classes}
 
 
 def test_equivalence_rejects_mismatched_tests():
