@@ -22,7 +22,6 @@ from .behavior import (
     matrix_from_json_text,
     matrix_from_outputs,
     matrix_to_json_text,
-    mutation_adequacy,
 )
 from .errors import (
     CapacityError,
@@ -59,6 +58,7 @@ from .space import (
     coincidence_counterexample,
     distance_from_origin,
     distinguishing_dimensions,
+    mutation_adequacy,
     position,
 )
 from .subsumption import (

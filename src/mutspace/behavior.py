@@ -335,6 +335,9 @@ class Differentiator:
         if self.policy not in POLICIES:
             raise ValueError(f"unknown differentiator policy {self.policy!r}")
         if self.policy == POLICY_NUMERIC:
+            # bool is an int, but True as a tolerance fails inside differs
+            if isinstance(self.tolerance, bool):
+                raise ValueError("numeric tolerance must be a number, not a bool")
             if self.tolerance is None or not self.tolerance >= 0:  # NaN too
                 raise ValueError("numeric policy requires a nonnegative tolerance")
         elif self.tolerance is not None:
@@ -569,25 +572,6 @@ def adequacy_from_masks(
         else:
             live.append(m)
     return AdequacyResult(adequate=not live, live=tuple(live), killers=killers)
-
-
-def mutation_adequacy(
-    d: Differentiator,
-    tv: Union[TestVector, Iterable[str]],
-    po: str,
-    mutants: Sequence[str],
-    bm: BehaviorMatrix,
-) -> AdequacyResult:
-    """Check that every mutant differs from ``po`` on at least one test in ``tv``.
-
-    ``killers`` maps each killed mutant to the earliest test (in ``tv``
-    order) that kills it.  An empty mutant list is vacuously adequate.
-    """
-    tv = TestVector.of(tv)
-    masks = position_masks(d, tv, po, bm)
-    for m in mutants:
-        bm._row(m)  # an unknown id raises
-    return adequacy_from_masks(tv, ((m, masks[m]) for m in mutants))
 
 
 # --- JSON interchange -------------------------------------------------------

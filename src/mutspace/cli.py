@@ -50,6 +50,7 @@ from .subsumption import (
     adequacy_from_kills,
     build_dmsg,
     dmsg_to_dot,
+    kill_matrix,
     minimal_mutant_set,
 )
 
@@ -103,12 +104,10 @@ def _parse_tests(text: str) -> list[lang.TestCase]:
     for i, item in enumerate(raw):
         if not isinstance(item, dict) or "id" not in item or "inputs" not in item:
             raise ValueError(f"/{i}: each test needs 'id' and 'inputs'")
-        inputs = item["inputs"]
-        if not isinstance(inputs, dict) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in inputs.values()
-        ):
-            raise ValueError(f"/{i}/inputs: must map variables to integers")
-        tests.append(lang.TestCase(str(item["id"]), dict(inputs)))
+        try:
+            tests.append(lang.TestCase(str(item["id"]), item["inputs"]))
+        except ValueError as exc:
+            raise ValueError(f"/{i}/inputs: {exc}") from None
     TestVector(tuple(t.id for t in tests))  # unique ids: 1 and "1" are one id as text
     return tests
 
@@ -242,6 +241,25 @@ def run(program_path, tests_path, expected_path, operators, tracing, budget, out
 @main.group()
 def analyze():
     """Analyses over behavior matrices and kill matrices."""
+
+
+@analyze.command()
+@click.argument("matrix", type=click.Path(exists=True, dir_okay=False))
+@click.option("--policy", type=POLICY_CHOICES, default=POLICY_OUTPUT, show_default=True)
+@click.option("--epsilon", type=float, default=None)
+@click.option("--out", default=None, type=click.Path(dir_okay=False))
+def kills(matrix, policy, epsilon, out):
+    """Kill matrix (CSV) of a behavior matrix.
+
+    A mutant's column holds its difference bits from the original row:
+    strong mutation under --policy output, weak under --policy trace.
+    """
+    d = _differentiator(policy, epsilon)
+    bm = _load(matrix, matrix_from_json_text)
+    if bm.original_id is None:
+        raise RoleError("kill matrices require a program with role 'original'")
+    sp = ProgramSpace(bm.tests, bm.original_id, d, bm)
+    _emit(kill_matrix(sp, bm.mutant_ids(), bm).to_csv(), out)
 
 
 @analyze.command()

@@ -112,6 +112,13 @@ class TestCase:
     id: str
     inputs: Mapping[str, int]
 
+    def __post_init__(self):
+        # bool is an int, but True would run as 1 and print as True
+        if not isinstance(self.inputs, Mapping) or not all(
+            isinstance(v, int) and not isinstance(v, bool) for v in self.inputs.values()
+        ):
+            raise ValueError("must map variables to integers")
+
 
 class _Halt(Exception):
     """Abnormal termination in statement ``sid``; ``kind`` becomes the

@@ -45,7 +45,8 @@ class FaultLocalizationInput:
     score over, and the difference policy.
 
     ``spec_space`` and ``original_space`` anchor the tests at the spec and
-    the original; every score reads their cached position masks.
+    the original.  Each computes every position when it is built, and every
+    score reads their position masks.
     """
 
     matrix: BehaviorMatrix

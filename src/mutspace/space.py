@@ -2,22 +2,22 @@
 
 A space is identified by (tests, origin, differentiator); the behavior
 matrix is carried along only as the data source.  A program's position is
-its d-vector from the origin, a :class:`DiffVector`.  Every program's
-position is computed from the matrix in one pass on first use and then
-kept as a mask on the space.  Cached positions cannot go stale because
-matrices are immutable, and the cache is write-once, so spaces stay safe
-to share.
+its d-vector from the origin, a :class:`DiffVector`.  A space is built
+whole: every program's position is computed from the matrix in one pass
+when the space is built, and kept as a mask that is only read afterwards.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional, Sequence, Union
 
 from .behavior import (
+    AdequacyResult,
     BehaviorMatrix,
     DiffVector,
     Differentiator,
     TestVector,
+    adequacy_from_masks,
     diff_mask,
     position_masks,
     select,
@@ -37,26 +37,36 @@ class ProgramSpace:
     origin: str
     differentiator: Differentiator
     matrix: BehaviorMatrix = field(compare=False)
-    _masks: dict[str, int] = field(
-        default_factory=dict, init=False, repr=False, compare=False
-    )
+    _masks: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "tests", TestVector.of(self.tests))
-        self.matrix.entry(self.origin)  # raises UnknownIdError
-        self.matrix._columns(self.tests)  # so does an unknown test
+        # the one pass; an unknown origin or test raises UnknownIdError
+        masks = position_masks(self.differentiator, self.tests, self.origin, self.matrix)
+        object.__setattr__(self, "_masks", masks)
 
     def mask(self, p: str) -> int:
-        """Packed position of ``p`` (bit i is ``tests[i]``).  The first call
-        computes every program's position in one pass over the matrix."""
-        if not self._masks:
-            self._masks.update(
-                position_masks(self.differentiator, self.tests, self.origin, self.matrix)
-            )
+        """Packed position of ``p`` (bit i is ``tests[i]``)."""
         try:
             return self._masks[p]
         except KeyError:
             raise UnknownIdError(f"unknown program id {p!r}") from None
+
+
+def mutation_adequacy(
+    d: Differentiator,
+    tv: Union[TestVector, Iterable[str]],
+    po: str,
+    mutants: Sequence[str],
+    bm: BehaviorMatrix,
+) -> AdequacyResult:
+    """Check that every mutant differs from ``po`` on at least one test in ``tv``.
+
+    ``killers`` maps each killed mutant to the earliest test (in ``tv``
+    order) that kills it.  An empty mutant list is vacuously adequate.
+    """
+    sp = ProgramSpace(tv, po, d, bm)
+    return adequacy_from_masks(sp.tests, [(m, sp.mask(m)) for m in mutants])
 
 
 def position(sp: ProgramSpace, p: str) -> DiffVector:

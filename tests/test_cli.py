@@ -237,6 +237,43 @@ def test_analyze_rejects_bad_csv(runner, tmp_path):
     assert "header" in result.stderr
 
 
+def test_run_then_analyze_kills_then_minimize(runner, tmp_path):
+    """Strong (output) and weak (trace) kills from one traced run; tracing
+    changes no output, and every strong kill is a weak kill."""
+    program, tests, expected = write_faulty_inputs(tmp_path)
+    inputs = ["--program", str(program), "--tests", str(tests), "--expected", str(expected)]
+    csvs = {}
+    for name, tracing, policy in [("plain", [], "output"), ("strong", ["--trace"], "output"),
+                                  ("weak", ["--trace"], "trace")]:
+        matrix = tmp_path / f"{name}.json"
+        assert runner.invoke(main, ["run", *inputs, *tracing, "--out", str(matrix)]).exit_code == 0
+        csvs[name] = tmp_path / f"{name}.csv"
+        result = runner.invoke(main, ["analyze", "kills", str(matrix), "--policy", policy,
+                                      "--out", str(csvs[name])])
+        assert result.exit_code == 0, result.stderr
+    assert csvs["plain"].read_bytes() == csvs["strong"].read_bytes()
+    strong = [line.split(",") for line in csvs["strong"].read_text().splitlines()]
+    weak = [line.split(",") for line in csvs["weak"].read_text().splitlines()]
+    assert strong[0] == weak[0] and strong[0][0] == "test" and len(strong) == len(FAULTY_TESTS) + 1
+    for s_row, w_row in zip(strong[1:], weak[1:]):
+        assert all(w == "1" for s, w in zip(s_row[1:], w_row[1:]) if s == "1")
+    assert strong != weak  # some mutant is killed weakly only
+    result = runner.invoke(main, ["analyze", "minimize", str(csvs["strong"])])
+    assert result.exit_code == 0
+    report = json.loads(result.output)
+    assert report["minimal"] and set(report["minimal"]) <= set(strong[0][1:])
+
+
+def test_analyze_kills_without_an_original_row_exits_3(runner, tmp_path):
+    bm = matrix_from_outputs(["t1"], {"ps": ["a"], "m1": ["b"]},
+                             roles={"ps": "spec", "m1": "mutant"})
+    matrix = tmp_path / "matrix.json"
+    matrix.write_text(matrix_to_json_text(bm))
+    result = runner.invoke(main, ["analyze", "kills", str(matrix)])
+    assert result.exit_code == 3
+    assert "error: kill matrices require a program with role 'original'" in result.stderr
+
+
 def test_analyze_pdl(runner):
     result = runner.invoke(main, ["analyze", "pdl", "--n", "3"])
     assert result.exit_code == 0
@@ -507,6 +544,8 @@ TOO_DEEP = "maximum recursion depth exceeded"
 FAILURES = {
     "numeric_without_epsilon": (DVECTOR + ["--policy", "numeric"], {},
                                 "--policy numeric requires --epsilon"),
+    "kills_numeric_without_epsilon": (["analyze", "kills", "{matrix}", "--policy", "numeric"],
+                                      {}, "--policy numeric requires --epsilon"),
     "epsilon_with_exact": (DVECTOR + ["--policy", "exact", "--epsilon", "0.5"], {},
                            "--epsilon: policy 'exact' does not take a tolerance"),
     "epsilon_with_default_policy": (DVECTOR + ["--epsilon", "0"], {},

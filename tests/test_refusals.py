@@ -16,13 +16,15 @@ from mutspace import (
     ParseError,
     ProgramEntry,
     TestVector,
+    UnknownIdError,
     build_dmsg,
     build_lattice,
     matrix_from_outputs,
+    mutation_adequacy,
     project,
     reachable_by_deviance,
 )
-from mutspace.lang import parse
+from mutspace.lang import TestCase, parse
 from mutspace.lattice import DevianceWitness, PositionLattice
 from mutspace.mbfl import mutant_score
 from helpers import four_mutant_kills
@@ -71,6 +73,10 @@ REFUSALS = {
     "outputs_row_of_the_wrong_length": (
         lambda: matrix_from_outputs(["t1", "t2"], {"p": ["1"]}),
         ValueError, "program 'p' has 1 outputs for 2 tests",
+    ),
+    "numeric_tolerance_a_bool": (
+        lambda: Differentiator.numeric(True),
+        ValueError, "numeric tolerance must be a number, not a bool",
     ),
     "diff_vector_mask_wider_than_its_tests": (
         lambda: DiffVector(0b100, TestVector(("t1", "t2")), "p", "q", "exact"),
@@ -124,12 +130,20 @@ REFUSALS = {
         lambda: reachable_by_deviance(build_lattice(2), (0, 2)),
         ValueError, "(0, 2) is not a node of this lattice",
     ),
+    "adequacy_of_an_unknown_mutant": (
+        lambda: mutation_adequacy(Differentiator.output_only(), ["t1"], "po", ["nobody"],
+                                  fault_input().matrix),
+        UnknownIdError, "unknown program id 'nobody'",
+    ),
     "localization_duplicate_mutant": (
         lambda: fault_input((("m1", 1), ("m1", 2))),
         ValueError, "duplicate mutant id in localization input",
     ),
     "unknown_score_method": (
         lambda: mutant_score(fault_input(), "m1", "guess"), ValueError, "unknown method 'guess'",
+    ),
+    "test_case_input_not_an_int": (
+        lambda: TestCase("t", {"x": True}), ValueError, "must map variables to integers",
     ),
     "parse_expected_a_statement": (
         lambda: parse("x = 1; 5;"), ParseError, "line 1, col 8: expected a statement, found '5'",

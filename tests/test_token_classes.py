@@ -185,11 +185,13 @@ def test_reading_positions_leaves_every_matrix_unchanged():
         mutants = list(bm.mutant_ids())
         for d in POLICIES:
             sp = ProgramSpace(bm.tests, bm.original_id, d, bm)
+            built = copy.deepcopy(vars(sp))
             for p in bm.program_ids():
                 sp.mask(p)
                 diff_mask(d, bm.tests, sp.origin, p, bm)
             mutation_adequacy(d, bm.tests, sp.origin, mutants, bm)
             kill_matrix(sp, mutants, bm)
+            assert vars(sp) == built
         assert vars(bm) == before
 
 
