@@ -64,42 +64,25 @@ class BehaviorToken:
             object.__setattr__(self, "trace", normalized)
 
 
-@dataclass(frozen=True)
-class TestVector:
-    """Ordered vector of unique test identifiers."""
+class TestVector(tuple):
+    """Ordered vector of unique test identifiers: a tuple that refuses
+    duplicates."""
 
     __test__ = False  # not a pytest class, despite the name
+    __slots__ = ()
 
-    tests: tuple[str, ...] = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "tests", tuple(self.tests))
-        if len(set(self.tests)) != len(self.tests):
+    def __new__(cls, tests: Iterable[str] = ()):
+        tv = super().__new__(cls, tests)
+        if len(set(tv)) != len(tv):
             raise ValueError("test identifiers must be unique within a vector")
+        return tv
 
     @classmethod
-    def of(cls, value: Union["TestVector", Iterable[str]]) -> "TestVector":
-        if isinstance(value, TestVector):
-            return value
-        return cls(tuple(value))
-
-    def __len__(self) -> int:
-        return len(self.tests)
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self.tests)
-
-    def __getitem__(self, i):
-        return self.tests[i]
-
-    def __contains__(self, test_id: str) -> bool:
-        return test_id in self.tests
-
-    def index(self, test_id: str) -> int:
-        return self.tests.index(test_id)
+    def of(cls, value: Iterable[str]) -> "TestVector":
+        return value if isinstance(value, TestVector) else cls(value)
 
     def prefix(self, k: int) -> "TestVector":
-        return TestVector(self.tests[:k])
+        return TestVector(self[:k])
 
 
 @dataclass(frozen=True)
@@ -419,8 +402,9 @@ def differentiate(
 # --- packed difference bits ---------------------------------------------------
 #
 # The one encoding of difference bits is a mask: an int whose bit i is the
-# bit of tests[i].  Each bit compares two tokens of one column; equal ids
-# hold equal tokens, so they never differ.
+# bit of tests[i].  One kernel computes them, the column pass of
+# position_masks; a pair's bits are its right program's position from the
+# left one.  ``differentiate`` is the per-cell definition it agrees with.
 
 
 def diff_mask(
@@ -431,15 +415,12 @@ def diff_mask(
     bm: BehaviorMatrix,
 ) -> int:
     """Difference bits between ``px`` and ``py``; bit i is test ``tv[i]``.
+    They are ``py``'s position in the space anchored at ``px``.
 
     Unknown program and test ids raise :class:`UnknownIdError`, as
     :meth:`BehaviorMatrix.token` does."""
-    x, y = bm._row(px), bm._row(py)
-    tables, ids = bm._tables, bm._ids
-    return pack_bits(
-        ids[j][x] != ids[j][y] and d.differs(tables[j][ids[j][x]], tables[j][ids[j][y]])
-        for j in bm._columns(tv)
-    )
+    bm._row(px), bm._row(py)  # program ids are checked before test ids
+    return position_masks(d, tv, px, bm)[py]
 
 
 def position_masks(

@@ -442,7 +442,7 @@ def demo(out_dir):
     if out_dir is not None:
         # each demo mutant has its own kill column, so its own lattice node
         at_node = {km.mask(m): (m,) for m in km.mutants}
-        lattice = PositionLattice(len(km.tests), tuple(km.tests), at_node)
+        lattice = PositionLattice(km.tests, at_node)
         directory = Path(out_dir)
         with _writing(out_dir):
             directory.mkdir(parents=True, exist_ok=True)

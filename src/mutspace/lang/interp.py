@@ -113,11 +113,17 @@ class TestCase:
     inputs: Mapping[str, int]
 
     def __post_init__(self):
-        # bool is an int, but True would run as 1 and print as True
-        if not isinstance(self.inputs, Mapping) or not all(
-            isinstance(v, int) and not isinstance(v, bool) for v in self.inputs.values()
+        if not isinstance(self.inputs, Mapping):
+            raise ValueError("must map variables to integers")
+        # a copy, so a caller who later changes the mapping cannot bypass the
+        # check; bool is an int, but True would run as 1 and print as True
+        inputs = dict(self.inputs)
+        if not all(
+            isinstance(k, str) and isinstance(v, int) and not isinstance(v, bool)
+            for k, v in inputs.items()
         ):
             raise ValueError("must map variables to integers")
+        object.__setattr__(self, "inputs", inputs)
 
 
 class _Halt(Exception):

@@ -82,17 +82,21 @@ class PositionLattice:
     are byte-stable.
     """
 
-    dimension: int
     tests: tuple[str, ...]
     annotations: Mapping[int, tuple[str, ...]] = field(default_factory=dict)
 
     def __post_init__(self):
+        # a copy, since the dimension is read from it
+        object.__setattr__(self, "tests", tuple(self.tests))
         _check_dimension(self.dimension)
-        if self.dimension != len(self.tests):
-            raise ValueError("one test name per dimension required")
         for mask in self.annotations:
             if not (isinstance(mask, int) and 0 <= mask < 1 << self.dimension):
                 raise ValueError(f"annotation on non-node {mask!r}")
+
+    @property
+    def dimension(self) -> int:
+        """One dimension per test."""
+        return len(self.tests)
 
     def nodes(self) -> Iterator[Node]:
         return itertools.product((0, 1), repeat=self.dimension)
@@ -114,7 +118,9 @@ def build_lattice(n: int, tests: Optional[Sequence[str]] = None) -> PositionLatt
     ``MAX_EXPLICIT_DIMENSION``; use the implicit queries above that)."""
     _check_dimension(n)
     names = tuple(tests) if tests is not None else tuple(f"t{i + 1}" for i in range(n))
-    return PositionLattice(n, names)
+    if len(names) != n:
+        raise ValueError("one test name per dimension required")
+    return PositionLattice(names)
 
 
 def annotate(
@@ -132,7 +138,7 @@ def annotate(
     held = ((mask, p) for mask, progs in lattice.annotations.items() for p in progs)
     added = ((sp.mask(p), p) for p in programs)
     annotations = group_by_mask(itertools.chain(held, added))
-    return PositionLattice(lattice.dimension, lattice.tests, annotations)
+    return PositionLattice(lattice.tests, annotations)
 
 
 def project(
@@ -155,7 +161,7 @@ def project(
     # in nodes() order, so each coalesced list keeps its sources' order
     ranked = sorted(obj.annotations, key=lambda m: _rank(m, n))
     pairs = ((mask & low, p) for mask in ranked for p in obj.annotations[mask])
-    return PositionLattice(k, obj.tests[:k], group_by_mask(pairs))
+    return PositionLattice(obj.tests[:k], group_by_mask(pairs))
 
 
 def reachable_by_deviance(lattice: PositionLattice, start: Node) -> set[Node]:

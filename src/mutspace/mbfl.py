@@ -224,20 +224,13 @@ class MethodComparison:
 
     mutant: str
     disagreement_tests: tuple[str, ...]
-    flt_marks_same: Mapping[str, bool]
-    fix_marks_different: Mapping[str, bool]
 
 
 def compare_methods(inp: FaultLocalizationInput, m: str) -> MethodComparison:
     spec_orig = inp.spec_space.mask(inp.original_id)
     orig_mut = inp.original_space.mask(m)
     spec_mut = inp.spec_space.mask(m)
-    tests = select(spec_orig & orig_mut & spec_mut, inp.tests)
-    # all three bits are 1 on these tests: the kill bit equals the failure
-    # bit (flt: same) and the spec-relative bit is 1 (fix: different)
-    return MethodComparison(
-        m, tests, dict.fromkeys(tests, True), dict.fromkeys(tests, True)
-    )
+    return MethodComparison(m, select(spec_orig & orig_mut & spec_mut, inp.tests))
 
 
 def report_to_json_obj(

@@ -293,8 +293,8 @@ def test_adequacy_monotone_in_tests(seed, n_tests):
     )
     mutants = ["p1", "p2", "p3"]
     for k in range(n_tests):
-        smaller = mutation_adequacy(EXACT, bm.tests.tests[:k], "p0", mutants, bm)
-        larger = mutation_adequacy(EXACT, bm.tests.tests[: k + 1], "p0", mutants, bm)
+        smaller = mutation_adequacy(EXACT, bm.tests[:k], "p0", mutants, bm)
+        larger = mutation_adequacy(EXACT, bm.tests[: k + 1], "p0", mutants, bm)
         if smaller.adequate:
             assert larger.adequate
 

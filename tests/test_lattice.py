@@ -104,13 +104,11 @@ def test_lattice_capacity_error():
 def test_position_lattice_refuses_the_dimensions_build_lattice_refuses():
     names = tuple(f"t{i + 1}" for i in range(17))
     with pytest.raises(CapacityError) as direct:
-        PositionLattice(17, names)
+        PositionLattice(names)
     with pytest.raises(CapacityError) as built:
         build_lattice(17)
     assert str(direct.value) == str(built.value)
-    with pytest.raises(ValueError, match="nonnegative"):
-        PositionLattice(-1, ())
-    assert PositionLattice(16, names[:16]).dimension == 16
+    assert PositionLattice(names[:16]).dimension == 16
 
 
 def test_edges_flip_exactly_one_zero_bit():
@@ -318,8 +316,13 @@ def test_annotate_refuses_a_space_over_other_tests():
             annotate(build_lattice(3, tests), sp, ["m1"])
         assert repr(tests) in str(err.value)
         assert repr(("t1", "t2", "t3")) in str(err.value)
-    # the same tests in a list are the same dimensions
-    lattice = annotate(PositionLattice(3, ["t1", "t2", "t3"]), sp, ["m1"])
+    # the same tests in a list are the same dimensions, and the lattice keeps
+    # its own copy: the dimension is len(tests), so a shared list could grow it
+    names = ["t1", "t2", "t3"]
+    plain = PositionLattice(names)
+    names.append("t4")
+    assert (plain.tests, plain.dimension) == (("t1", "t2", "t3"), 3)
+    lattice = annotate(plain, sp, ["m1"])
     assert lattice.programs_at((1, 0, 0)) == ("m1",)
 
 

@@ -226,6 +226,13 @@ def test_inputs_are_visible_as_variables():
     assert tok.output == "42"
 
 
+def test_a_test_case_keeps_its_own_checked_copy_of_the_inputs():
+    inputs = {"x": 1}
+    test = TestCase("t", inputs)
+    inputs["x"] = True
+    assert execute(parse("return x;"), test).output == "1"
+
+
 def test_execution_is_deterministic():
     test = TestCase("t", {"n": 5})
     program = parse(TWENTY_SRC)

@@ -112,11 +112,11 @@ REFUSALS = {
         ValueError, "a deviance witness needs at least one deviating test",
     ),
     "lattice_test_count": (
-        lambda: PositionLattice(2, ("t1",)),
+        lambda: build_lattice(2, ("t1",)),
         ValueError, "one test name per dimension required",
     ),
     "lattice_non_node_key": (
-        lambda: PositionLattice(2, ("t1", "t2"), {4: ("p",)}),
+        lambda: PositionLattice(("t1", "t2"), {4: ("p",)}),
         ValueError, "annotation on non-node 4",
     ),
     "project_below_zero": (
@@ -144,6 +144,9 @@ REFUSALS = {
     ),
     "test_case_input_not_an_int": (
         lambda: TestCase("t", {"x": True}), ValueError, "must map variables to integers",
+    ),
+    "test_case_input_name_not_a_str": (
+        lambda: TestCase("t", {1: 5}), ValueError, "must map variables to integers",
     ),
     "parse_expected_a_statement": (
         lambda: parse("x = 1; 5;"), ParseError, "line 1, col 8: expected a statement, found '5'",

@@ -22,6 +22,7 @@ from helpers import (
     kill_space,
     matrix_from_kill_bits,
     random_matrix,
+    random_policy_matrix,
     three_program_matrix,
 )
 
@@ -169,8 +170,8 @@ def test_equal_positions_with_different_behaviors_are_reachable():
 def test_a_position_is_the_d_vector_from_the_origin_and_projects_to_a_prefix(
     seed, n_tests, alphabet, d
 ):
-    # ties the column-pass kernel behind positions to the pairwise one,
-    # and truncating a position to reading it in the prefix space
+    # a position is the pair's d-vector read from its origin, and
+    # truncating a position is reading it in the prefix space
     bm = random_matrix(random.Random(seed), n_tests, 4, alphabet)
     for origin in bm.program_ids():
         sp = ProgramSpace(bm.tests, origin, d, bm)
@@ -190,31 +191,39 @@ def test_coincidence_counterexample_names_unknown_programs():
         coincidence_counterexample(sp, "m", "nobody")
 
 
-@given(st.integers(0, 2 ** 32 - 1), st.integers(0, 6), st.integers(1, 3))
+@given(
+    st.integers(0, 2 ** 32 - 1), st.integers(0, 6), st.integers(1, 3),
+    st.sampled_from(POLICIES), st.booleans(),
+)
 @settings(max_examples=100, deadline=None)
-def test_packed_kernels_match_per_test_differentiate(seed, n_tests, alphabet):
+def test_packed_kernels_match_per_test_differentiate(seed, n_tests, alphabet, d, every_field):
     from mutspace import build_dmsg, kill_matrix
     from mutspace.behavior import pack_bits
 
+    # random_matrix's trace-less v<k> outputs leave trace and numeric
+    # degenerate; random_policy_matrix draws outputs, statuses and traces
     rng = random.Random(seed)
-    bm = random_matrix(rng, n_tests, 4, alphabet, roles={"p0": "original"})
+    if every_field:
+        bm = random_policy_matrix(rng, n_tests, 4)
+    else:
+        bm = random_matrix(rng, n_tests, 4, alphabet, roles={"p0": "original"})
     programs = bm.program_ids()
 
     def bits(px, py):  # reference: one differentiate call per test
-        return tuple(differentiate(EXACT, t, px, py, bm) for t in bm.tests)
+        return tuple(differentiate(d, t, px, py, bm) for t in bm.tests)
 
     for px in programs:
         for py in programs:
-            v = diff_vector(EXACT, bm.tests, px, py, bm)
+            v = diff_vector(d, bm.tests, px, py, bm)
             assert v.bits == bits(px, py)
             assert v.mask == pack_bits(v.bits)
             assert v.norm() == sum(v.bits)
-    sp = ProgramSpace(bm.tests, "p0", EXACT, bm)
+    sp = ProgramSpace(bm.tests, "p0", d, bm)
     for cls in build_dmsg(kill_matrix(sp, programs[1:], bm)).classes:
         for m in cls.members:
             assert cls.mask == pack_bits(bits("p0", m))
     for origin in programs:
-        sp = ProgramSpace(bm.tests, origin, EXACT, bm)
+        sp = ProgramSpace(bm.tests, origin, d, bm)
         for px in programs:
             for py in programs:
                 rows = zip(bm.tests, bits(origin, px), bits(origin, py), bits(px, py))
