@@ -15,7 +15,6 @@ from .behavior import (
     Differentiator,
     ProgramEntry,
     TestVector,
-    derived_oracle,
     diff_vector,
     differentiate,
     manhattan_norm,
@@ -46,7 +45,6 @@ from .mbfl import (
     FixCounts,
     MethodComparison,
     SuspiciousnessReport,
-    changed_tests,
     compare_methods,
     fix_counts,
     fix_score,
@@ -56,7 +54,6 @@ from .mbfl import (
 from .space import (
     ProgramSpace,
     coincidence_counterexample,
-    distance_from_origin,
     distinguishing_dimensions,
     mutation_adequacy,
     position,

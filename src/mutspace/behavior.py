@@ -378,6 +378,7 @@ class DiffVector:
     differentiator: str
 
     def __post_init__(self):
+        object.__setattr__(self, "tests", TestVector.of(self.tests))
         if self.mask < 0 or self.mask.bit_length() > len(self.tests):
             raise ValueError(f"mask {self.mask} does not fit {len(self.tests)} tests")
 
@@ -516,17 +517,6 @@ def diff_vector(
 def manhattan_norm(v: Union[DiffVector, Iterable[int]]) -> int:
     """Sum of bits; equals the Hamming distance between the two behavior rows."""
     return sum(v)
-
-
-def derived_oracle(
-    d: Differentiator, ps: str, bm: BehaviorMatrix
-) -> Callable[[str, str], bool]:
-    """Pass/fail predicate obtained by differencing against the row ``ps``:
-    o(t, p) holds iff p agrees with ps on t."""
-    bm.entry(ps)
-    def oracle(t: str, p: str) -> bool:
-        return differentiate(d, t, p, ps, bm) == 0
-    return oracle
 
 
 @dataclass(frozen=True)

@@ -87,17 +87,6 @@ class FaultLocalizationInput:
         return tuple(m for m, _ in self.mutants)
 
 
-def _changed(inp: FaultLocalizationInput, m: str) -> int:
-    """Mask of the tests whose spec-relative bit flips from original to ``m``."""
-    return inp.spec_space.mask(inp.original_id) ^ inp.spec_space.mask(m)
-
-
-def changed_tests(inp: FaultLocalizationInput, m: str) -> TestVector:
-    """Tests whose spec-relative verdict differs between the original and
-    the mutant: exactly the fail->pass and pass->fail flips."""
-    return TestVector(select(_changed(inp, m), inp.tests))
-
-
 @dataclass(frozen=True)
 class FixCounts:
     fail_to_pass: int
@@ -105,10 +94,12 @@ class FixCounts:
 
 
 def fix_counts(inp: FaultLocalizationInput, m: str) -> FixCounts:
-    """Over the changed tests: zeros of the mutant's spec-relative bits are
-    fail->pass flips, ones are pass->fail flips."""
-    changed = _changed(inp, m)
-    ones = (changed & inp.spec_space.mask(m)).bit_count()
+    """Over the changed tests, whose spec-relative bit flips from the
+    original to the mutant: zeros of the mutant's bits are fail->pass
+    flips, ones are pass->fail flips."""
+    mutant = inp.spec_space.mask(m)
+    changed = inp.spec_space.mask(inp.original_id) ^ mutant
+    ones = (changed & mutant).bit_count()
     return FixCounts(fail_to_pass=changed.bit_count() - ones, pass_to_fail=ones)
 
 

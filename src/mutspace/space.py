@@ -75,15 +75,6 @@ def position(sp: ProgramSpace, p: str) -> DiffVector:
     return DiffVector(sp.mask(p), sp.tests, sp.origin, p, sp.differentiator.id)
 
 
-def distance_from_origin(v: DiffVector) -> int:
-    """Manhattan norm of a position.
-
-    With a spec-row origin this measures the subject's incorrectness; with
-    an original-row origin and a mutant subject, how easily it is killed.
-    """
-    return v.norm()
-
-
 def distinguishing_dimensions(sp: ProgramSpace, px: str, py: str) -> list[str]:
     """Tests where the two programs' positions disagree.
 

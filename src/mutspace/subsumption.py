@@ -1,12 +1,13 @@
 """Kill matrices, dynamic mutant subsumption, minimal mutant sets.
 
-A kill matrix records which tests kill which mutants (one bit per test and
-mutant, relative to the original program).  Mutant ``x`` dynamically
-subsumes mutant ``y`` when ``x`` is killed at least once and every test
-killing ``x`` also kills ``y``; a subsumed mutant is redundant.  Grouping
-killed mutants by identical kill columns and ordering the groups by strict
-subsumption yields the dynamic mutant subsumption graph (DMSG), whose root
-classes give a minimal mutant set.
+A kill matrix records which tests kill which mutants, relative to the
+original program.  It stores one packed mask per mutant (bit i is
+``tests[i]``); its rows (``bits``) and its CSV are views of the masks.
+Mutant ``x`` dynamically subsumes mutant ``y`` when ``x`` is killed at
+least once and every test killing ``x`` also kills ``y``; a subsumed mutant
+is redundant.  Grouping killed mutants by identical kill columns and
+ordering the groups by strict subsumption yields the dynamic mutant
+subsumption graph (DMSG), whose root classes give a minimal mutant set.
 
 The kernel works on packed ints: a class's kill column is a mask over
 tests, subsumption is ``cx != 0 and submask(cx, cy)`` (``behavior.submask``
@@ -27,6 +28,7 @@ import csv
 import io
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .behavior import (
@@ -53,8 +55,7 @@ def _subsumes(cx: int, cy: int) -> bool:
 
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")
-_BITS = bytes.maketrans(b"01", b"\x00\x01")
-_CELL_TEXT = {"0": 0, "1": 1}
+_CELL_TEXT = frozenset("01")
 
 
 def _cells(row: Iterable) -> tuple[int, ...]:
@@ -69,56 +70,81 @@ def _cells(row: Iterable) -> tuple[int, ...]:
     return row
 
 
-@dataclass(frozen=True)
-class KillMatrix:
-    """n-by-M bit matrix: rows are tests, columns are mutants.
+def _pack_columns(text: str | bytes, m: int) -> tuple[int, ...]:
+    """Masks of the ``m`` columns of row-major 0/1 digit text (str or
+    bytes) that starts with the last test: column j is every m-th digit
+    from j on, high bit first."""
+    return tuple(int(text[j::m] or "0", 2) for j in range(m))
 
-    Each column is also kept packed as a mask (bit i is ``tests[i]``);
-    :meth:`column` is its tuple view.
-    """
+
+@dataclass(frozen=True, init=False)
+class KillMatrix:
+    """n-by-M kill bits: rows are tests, columns are mutants, stored as one
+    mask per mutant in ``masks``; :meth:`column` and :attr:`bits` are views."""
 
     tests: TestVector
     mutants: tuple[str, ...]
-    bits: tuple[tuple[int, ...], ...]
-    _masks: dict[str, int] = field(init=False, repr=False, compare=False)
+    masks: tuple[int, ...]
+    # mutant id -> its position in ``mutants`` and ``masks``
+    _column_of: dict[str, int] = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "tests", TestVector.of(self.tests))
-        object.__setattr__(self, "mutants", tuple(self.mutants))
-        if len(set(self.mutants)) != len(self.mutants):
-            raise ValueError("mutant identifiers must be unique")
-        rows = tuple(map(_cells, self.bits))
+    def __init__(self, tests: Iterable[str], mutants: Iterable[str], bits: Iterable[Iterable]):
+        """Kill bits as rows: one row of 0/1 cells per test."""
+        self._set_ids(tests, mutants)
+        rows = tuple(map(_cells, bits))
         if len(rows) != len(self.tests):
             raise ValueError("one row per test required")
         m = len(self.mutants)
         if any(len(row) != m for row in rows):
             raise ValueError("one column per mutant required")
-        object.__setattr__(self, "bits", rows)
-        # Column j, last test first, is every m-th digit from j on.
         text = b"".join(map(bytes, reversed(rows))).translate(_DIGITS)
-        masks = (int(text[j::m] or b"0", 2) for j in range(m))
-        object.__setattr__(self, "_masks", dict(zip(self.mutants, masks)))
+        object.__setattr__(self, "masks", _pack_columns(text, m))
+
+    @classmethod
+    def _from_masks(
+        cls, tests: Iterable[str], mutants: Iterable[str], masks: Iterable[int]
+    ) -> "KillMatrix":
+        km = object.__new__(cls)
+        km._set_ids(tests, mutants)
+        object.__setattr__(km, "masks", tuple(masks))
+        return km
+
+    def _set_ids(self, tests: Iterable[str], mutants: Iterable[str]) -> None:
+        object.__setattr__(self, "tests", TestVector.of(tests))
+        object.__setattr__(self, "mutants", tuple(mutants))
+        column_of = dict(zip(self.mutants, range(len(self.mutants))))
+        if len(column_of) != len(self.mutants):
+            raise ValueError("mutant identifiers must be unique")
+        object.__setattr__(self, "_column_of", column_of)
 
     def mask(self, mutant: str) -> int:
         """Packed kill column of ``mutant``."""
         try:
-            return self._masks[mutant]
+            return self.masks[self._column_of[mutant]]
         except KeyError:
             raise ValueError(f"unknown mutant {mutant!r}") from None
 
     def column(self, mutant: str) -> tuple[int, ...]:
         return unpack_bits(self.mask(mutant), len(self.tests))
 
+    @cached_property
+    def bits(self) -> tuple[tuple[int, ...], ...]:
+        """Row view: one tuple of 0/1 per test, one entry per mutant."""
+        return tuple([tuple([c >> i & 1 for c in self.masks]) for i in range(len(self.tests))])
+
     def killed_mutants(self) -> tuple[str, ...]:
-        return tuple(m for m, mask in self._masks.items() if mask)
+        return tuple(m for m, mask in zip(self.mutants, self.masks) if mask)
 
     def to_csv(self) -> str:
         # With "\r\n" as terminator the writer also quotes a field holding
         # "\r", where a reader would end the row; each row then ends in "\n".
         out = io.StringIO()
         writer = csv.writer(out, lineterminator="\r\n")
+        n = len(self.tests)
+        # each mutant's n digits, last test first; test i's row is every n-th one
+        text = "".join([format(c, f"0{n}b") for c in self.masks])
         rows = [("test",) + self.mutants]
-        rows += [(t,) + row for t, row in zip(self.tests, self.bits)]
+        rows += [(t, *text[n - 1 - i :: n]) for i, t in enumerate(self.tests)]
         lines = []
         for row in rows:
             writer.writerow(row)
@@ -139,20 +165,21 @@ class KillMatrix:
         header = lines[0][1]
         if header[0] != "test":
             raise ValueError("kill matrix CSV must start with a 'test' header column")
-        mutants = tuple(header[1:])
+        mutants = header[1:]
         tests = []
-        rows = []
+        digits = []
         for lineno, fields in lines[1:]:
             if len(fields) != len(header):
                 raise ValueError(
                     f"line {lineno}: expected {len(header)} fields, got {len(fields)}"
                 )
             tests.append(fields[0])
-            try:
-                rows.append(tuple(map(_CELL_TEXT.__getitem__, fields[1:])))
-            except KeyError:
-                raise ValueError(f"line {lineno}: cells must be 0 or 1") from None
-        return cls(TestVector(tuple(tests)), mutants, tuple(rows))
+            cells = fields[1:]
+            if not _CELL_TEXT.issuperset(cells):
+                raise ValueError(f"line {lineno}: cells must be 0 or 1")
+            digits.append("".join(cells))
+        text = "".join(reversed(digits))
+        return cls._from_masks(TestVector(tests), mutants, _pack_columns(text, len(mutants)))
 
 
 def kill_matrix(
@@ -168,11 +195,7 @@ def kill_matrix(
             f"kill matrices are defined against the original program; "
             f"{sp.origin!r} does not carry role 'original'"
         )
-    n = len(sp.tests)
-    # each mutant's n digits, last test first; test i's row is every n-th one
-    text = "".join([format(sp.mask(m), f"0{n}b") for m in mutants]).encode()
-    rows = tuple(tuple(text[n - 1 - i :: n].translate(_BITS)) for i in range(n))
-    return KillMatrix(sp.tests, tuple(mutants), rows)
+    return KillMatrix._from_masks(sp.tests, mutants, [sp.mask(m) for m in mutants])
 
 
 def dynamically_subsumes(km: KillMatrix, mx: str, my: str) -> bool:
@@ -225,7 +248,7 @@ class SubsumptionGraph:
 def _classes(km: KillMatrix) -> tuple[tuple[MutantClass, ...], tuple[str, ...]]:
     """Killed mutants grouped by kill column in first-seen order, and the
     never-killed mutants."""
-    groups = group_by_mask(zip(km._masks.values(), km._masks))
+    groups = group_by_mask(zip(km.masks, km.mutants))
     live = groups.pop(0, ())
     return tuple(MutantClass(members, mask) for mask, members in groups.items()), live
 
@@ -355,7 +378,7 @@ def adequacy_from_kills(km: KillMatrix) -> AdequacyResult:
     ``killers`` maps each killed mutant to the earliest killing test in
     row order.
     """
-    return adequacy_from_masks(km.tests, ((m, km.mask(m)) for m in km.mutants))
+    return adequacy_from_masks(km.tests, zip(km.mutants, km.masks))
 
 
 def dmsg_to_dot(graph: SubsumptionGraph) -> str:

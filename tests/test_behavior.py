@@ -12,7 +12,6 @@ from mutspace import (
     SchemaError,
     TestVector,
     UnknownIdError,
-    derived_oracle,
     diff_vector,
     differentiate,
     manhattan_norm,
@@ -218,31 +217,6 @@ def test_iter_bits_refuses_a_negative_mask_and_select_reads_its_low_bits():
     assert select(-1, "abc") == ("a", "b", "c")
     assert select(~0b010, "abcd") == ("a", "c", "d")
     assert select(0b1000, "abc") == ()
-
-
-# --- derived oracle -------------------------------------------------------------
-
-
-def test_derived_oracle_inverts_difference(example_matrix):
-    oracle = derived_oracle(EXACT, "ps", example_matrix)
-    assert oracle("t1", "po") is True
-    assert oracle("t2", "po") is False
-    assert all(oracle(t, "ps") for t in example_matrix.tests)
-
-
-@given(st.integers(0, 2 ** 32 - 1))
-@settings(max_examples=100)
-def test_oracle_reduction_holds_everywhere(seed):
-    import random
-
-    from helpers import random_matrix
-
-    rng = random.Random(seed)
-    bm = random_matrix(rng, 4, 3, 3)
-    oracle = derived_oracle(EXACT, "p0", bm)
-    for t in bm.tests:
-        for p in ("p0", "p1", "p2"):
-            assert oracle(t, p) == (not differentiate(EXACT, t, p, "p0", bm))
 
 
 # --- mutation adequacy -----------------------------------------------------------

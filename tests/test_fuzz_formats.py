@@ -95,4 +95,6 @@ def test_kill_csv_round_trips_byte_exactly(km):
     text = km.to_csv()
     again = KillMatrix.from_csv(text)
     assert again == km
+    assert hash(again) == hash(km)
+    assert again.bits == km.bits
     assert again.to_csv() == text

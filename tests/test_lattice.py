@@ -236,6 +236,9 @@ def test_projection_of_a_position():
 def test_projecting_a_d_vector_needs_no_matrix():
     v = DiffVector(0b101, TestVector(("a", "b", "c")), "x", "y", "exact")
     assert project(v, 2) == DiffVector(0b01, TestVector(("a", "b")), "x", "y", "exact")
+    loose = DiffVector(0b101, ("a", "b", "c"), "x", "y", "exact")
+    assert loose == v
+    assert project(loose, 1) == DiffVector(0b1, TestVector(("a",)), "x", "y", "exact")
 
 
 # --- reachability ----------------------------------------------------------------------

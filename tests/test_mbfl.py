@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 from mutspace import (
     Differentiator,
     FaultLocalizationInput,
+    FixCounts,
     RoleError,
-    changed_tests,
     compare_methods,
+    differentiate,
     fix_counts,
     fix_score,
     flt_score,
@@ -52,8 +53,9 @@ def make_matrix(rows, mutant_statements):
 
 
 def test_changed_tests_of_the_example():
+    # only t4 changes, and the mutant passes it
     inp = example_input()
-    assert tuple(changed_tests(inp, "m")) == ("t4",)
+    assert fix_counts(inp, "m") == FixCounts(fail_to_pass=1, pass_to_fail=0)
 
 
 def test_changed_tests_empty_for_original_twin():
@@ -61,7 +63,7 @@ def test_changed_tests_empty_for_original_twin():
         {"ps": ["a", "a"], "po": ["b", "a"], "twin": ["b", "a"]},
         [("twin", 1)],
     )
-    assert tuple(changed_tests(inp, "twin")) == ()
+    assert fix_counts(inp, "twin") == FixCounts(fail_to_pass=0, pass_to_fail=0)
 
 
 def test_changed_tests_for_perfect_fix_are_the_failures():
@@ -69,7 +71,8 @@ def test_changed_tests_for_perfect_fix_are_the_failures():
         {"ps": ["a", "a", "a"], "po": ["b", "a", "b"], "fix": ["a", "a", "a"]},
         [("fix", 1)],
     )
-    assert tuple(changed_tests(inp, "fix")) == ("t1", "t3")
+    # t1 and t3, the two failures, change
+    assert fix_counts(inp, "fix") == FixCounts(fail_to_pass=2, pass_to_fail=0)
 
 
 # --- fix counts and score --------------------------------------------------------
@@ -90,7 +93,6 @@ def counts_instance():
 
 def test_fix_counts_of_the_worked_instance():
     inp = counts_instance()
-    assert tuple(changed_tests(inp, "m")) == ("t1", "t2", "t3", "t4")
     counts = fix_counts(inp, "m")
     assert counts.fail_to_pass == 3
     assert counts.pass_to_fail == 1
@@ -153,8 +155,14 @@ def test_fix_counts_sum_to_changed_tests_and_score_is_bounded(seed, n_tests):
         for pid in ("ps", "po", "m")
     }
     inp = make_matrix(rows, [("m", 1)])
-    counts = fix_counts(inp, "m")
-    assert counts.fail_to_pass + counts.pass_to_fail == len(changed_tests(inp, "m"))
+    # (original fails, mutant fails) per test, from per-cell differences
+    verdicts = [
+        tuple(differentiate(EXACT, t, "ps", p, inp.matrix) for p in ("po", "m"))
+        for t in inp.tests
+    ]
+    assert fix_counts(inp, "m") == FixCounts(
+        fail_to_pass=verdicts.count((1, 0)), pass_to_fail=verdicts.count((0, 1))
+    )
     assert -1.0 <= fix_score(inp, "m") <= 1.0
 
 
@@ -329,8 +337,6 @@ def test_compare_methods_empty_for_spec_twin():
 
 def test_compare_methods_matches_pairwise_distinct_predicate():
     rng = random.Random(4242)
-    from mutspace import differentiate
-
     for _ in range(300):
         rows = {
             pid: [f"v{rng.randrange(3)}" for _ in range(4)]

@@ -78,6 +78,10 @@ REFUSALS = {
         lambda: Differentiator.numeric(True),
         ValueError, "numeric tolerance must be a number, not a bool",
     ),
+    "diff_vector_duplicate_tests": (
+        lambda: DiffVector(1, ["a", "a"], "x", "y", "exact"),
+        ValueError, "test identifiers must be unique within a vector",
+    ),
     "diff_vector_mask_wider_than_its_tests": (
         lambda: DiffVector(0b100, TestVector(("t1", "t2")), "p", "q", "exact"),
         ValueError, "mask 4 does not fit 2 tests",

@@ -12,7 +12,6 @@ from mutspace import (
     coincidence_counterexample,
     diff_vector,
     differentiate,
-    distance_from_origin,
     distinguishing_dimensions,
     position,
     project,
@@ -85,9 +84,9 @@ def test_positions_in_the_kill_space():
 
 def test_distances():
     sp = spec_space()
-    assert distance_from_origin(position(sp, "po")) == 3
-    assert distance_from_origin(position(sp, "ps")) == 0
-    assert distance_from_origin(position(original_space(), "m")) == 2
+    assert position(sp, "po").norm() == 3
+    assert position(sp, "ps").norm() == 0
+    assert position(original_space(), "m").norm() == 2
 
 
 def test_distinguishing_dimensions_of_the_example():

@@ -48,12 +48,16 @@ EXACT = Differentiator.exact()
 
 
 def test_kill_matrix_reconstruction_from_behaviors():
-    km = four_mutant_kills()
-    bm = matrix_from_kill_bits(km)
-    sp = kill_space(km, bm)
-    rebuilt = kill_matrix(sp, list(km.mutants), bm)
-    assert rebuilt.bits == km.bits
-    assert rebuilt.mutants == km.mutants
+    shapes = [(1, 1), (3, 5), (4, 9), (6, 4), (8, 20), (0, 3), (3, 0), (0, 0)]
+    kms = [four_mutant_kills()]
+    kms += [random_kill_matrix(random.Random(seed), n, m) for seed, (n, m) in enumerate(shapes)]
+    for km in kms:
+        bm = matrix_from_kill_bits(km)
+        rebuilt = kill_matrix(kill_space(km, bm), list(km.mutants), bm)
+        assert rebuilt == km
+        assert hash(rebuilt) == hash(km)
+        assert rebuilt.bits == km.bits
+        assert KillMatrix(km.tests, km.mutants, rebuilt.bits) == km
 
 
 def test_kill_matrix_requires_original_role():
